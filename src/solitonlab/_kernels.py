@@ -7,8 +7,8 @@ Setting ``SOLITONLAB_DISABLE_NUMBA=1`` (or a failed numba import) selects a
 pure-Python/numpy fallback path instead: the time stepper falls back to
 vectorized numpy, the recurrences to plain Python loops.  Both paths run the
 same floating-point operations in the same order, so results agree to
-rounding; ``USING_NUMBA`` records which path is active and
-``benchmarks/bench_kernels.py`` times one against the other.
+rounding; ``USING_NUMBA`` records which path is active.  The benchmark
+``perfbench/run.py`` times the path that runs, per layer with ``--trace 1``.
 """
 
 import os
@@ -233,9 +233,26 @@ def rk4_shoot_py(b, alpha2, sigma, dim, h, n, phi_out):
     return status, stop
 
 
+def _n_plus_loop(w, v, w_bg, mode, exit_weights, k):
+    """Unstable-mode amplitude n_plus = (<w', p> + <v, p>/k)/2 of one state.
+
+    w' is the perturbation part of the reduced field w (w - w_bg in mode 0,
+    w itself in mode 1) and p = exit_weights holds 4 pi r g times the
+    quadrature weights.
+    """
+    sw = 0.0
+    sv = 0.0
+    for i in range(w.shape[0]):
+        wi = w[i] - w_bg[i] if mode == 0 else w[i]
+        sw += wi * exit_weights[i]
+        sv += v[i] * exit_weights[i]
+    return 0.5 * (sw + sv / k)
+
+
 def _leapfrog_loop(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
                    n_steps, stride, mode, psi_cap,
-                   w_snap, v_snap, w_final, v_final):
+                   w_snap, v_snap, w_final, v_final,
+                   exit_weights=None, k=1.0, exit_n_plus=np.inf):
     """Explicit-loop leapfrog core (the numba-compiled hot path).
 
     mode 0 steps the full reduced field w (w_tt = w_rr + w^5/r^4); mode 1
@@ -247,9 +264,20 @@ def _leapfrog_loop(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     the state at step j*stride, with the centered time derivative filled one
     step later (slot 0 is the caller's initial state).  Returns
     (snapshots_written, last_step, reason): reason 0 completed, 1 amplitude
-    cap, 2 non-finite.
+    cap, 2 non-finite, 3 decided.
+
+    With exit_weights (the n_plus weights of _n_plus_loop, with the rate k)
+    the run stops with reason 3 at the first snapshot, slot 0 included,
+    whose |n_plus| exceeds exit_n_plus: last_step is that snapshot's step
+    and the final state is the snapshot with its centered velocity.
     """
     n = w0.shape[0]
+    if exit_weights is not None:
+        if abs(_n_plus_loop(w0, v0, w_bg, mode, exit_weights, k)) > exit_n_plus:
+            for i in range(n):
+                w_final[i] = w0[i]
+                v_final[i] = v0[i]
+            return 1, 0, 3
     dt2 = dt * dt
     a = w0.copy()
     b = np.empty(n)
@@ -326,6 +354,14 @@ def _leapfrog_loop(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
         if pend >= 0:
             for i in range(n):
                 v_snap[pend, i] = (c[i] - a[i]) / (2.0 * dt)
+            if exit_weights is not None:
+                n_plus = _n_plus_loop(w_snap[pend], v_snap[pend], w_bg, mode,
+                                      exit_weights, k)
+                if abs(n_plus) > exit_n_plus:
+                    for i in range(n):
+                        w_final[i] = b[i]
+                        v_final[i] = v_snap[pend, i]
+                    return snap, step, 3
             pend = -1
         if step >= n_steps:
             for i in range(n):
@@ -341,43 +377,89 @@ def _leapfrog_loop(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
 
 def _leapfrog_numpy(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
                     n_steps, stride, mode, psi_cap,
-                    w_snap, v_snap, w_final, v_final):
-    """Vectorized numpy twin of _leapfrog_loop (the fallback hot path)."""
+                    w_snap, v_snap, w_final, v_final,
+                    exit_weights=None, k=1.0, exit_n_plus=np.inf):
+    """Vectorized numpy twin of _leapfrog_loop (the fallback hot path).
+
+    Each step writes into preallocated buffers and runs the floating-point
+    operations of the loop twin in the same order, so trajectories do not
+    depend on the buffering.  The amplitude test is one max |psi| <= cap
+    per step; only when it fails is the exact reason (cap or non-finite)
+    worked out.
+    """
     n = w0.shape[0]
     dt2 = dt * dt
-    ext = np.empty(n + 1)
+    bg, ir, ir4 = w_bg[:-1], inv_r[:-1], inv_r4[:-1]
+    if mode == 1:
+        g2 = bg * bg
+        bg5 = g2 * g2 * bg
+    # a sup that is inf or nan must fail the fast test even under an infinite cap
+    fast_cap = min(psi_cap, np.finfo(float).max)
+    tot, two_y, lap, nl, psi = (np.empty(n - 1) for _ in range(5))
 
-    def force_of(y):
-        ext[0] = 0.0
-        ext[1:] = y
-        lap = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) * inv_h2
+    def prepare(y):
+        """|psi| of y into psi; in mode 1 also tot = y + w_bg, which force reads."""
         if mode == 0:
-            w2 = y[:-1] * y[:-1]
-            return lap + w2 * w2 * y[:-1] * inv_r4[:-1]
-        tot = w_bg[:-1] + y[:-1]
-        t2 = tot * tot
-        g2 = w_bg[:-1] * w_bg[:-1]
-        return lap + (t2 * t2 * tot - g2 * g2 * w_bg[:-1]) * inv_r4[:-1]
+            np.multiply(y[:-1], ir, out=psi)
+        else:
+            np.add(y[:-1], bg, out=tot)
+            np.multiply(tot, ir, out=psi)
+        np.abs(psi, out=psi)
+
+    def force(y):
+        """w_rr plus the quintic term of y into lap, with 2 y into two_y."""
+        np.multiply(y[:-1], 2.0, out=two_y)
+        np.subtract(y[1:], two_y, out=lap)
+        np.add(lap[1:], y[:-2], out=lap[1:])
+        lap[0] += 0.0  # the phantom w(0) = 0, added as every other neighbour
+        np.multiply(lap, inv_h2, out=lap)
+        if mode == 0:
+            np.multiply(y[:-1], y[:-1], out=nl)
+            np.multiply(nl, nl, out=nl)
+            np.multiply(nl, y[:-1], out=nl)
+        else:
+            np.multiply(tot, tot, out=nl)
+            np.multiply(nl, nl, out=nl)
+            np.multiply(nl, tot, out=nl)
+            np.subtract(nl, bg5, out=nl)
+        np.multiply(nl, ir4, out=nl)
+        return np.add(lap, nl, out=lap)
+
+    def decided(w, v):
+        if exit_weights is None:
+            return False
+        pert = w - w_bg if mode == 0 else w
+        n_plus = 0.5 * (np.dot(pert, exit_weights) + np.dot(v, exit_weights) / k)
+        return abs(n_plus) > exit_n_plus
+
+    if decided(w0, v0):
+        w_final[:] = w0
+        v_final[:] = v0
+        return 1, 0, 3
 
     a = w0.copy()
     b = np.empty(n)
-    b[:-1] = a[:-1] + dt * v0[:-1] + 0.5 * dt2 * force_of(a)
-    b[-1] = a[-1]
     c = np.empty(n)
+    prepare(a)
+    b[:-1] = a[:-1] + dt * v0[:-1] + 0.5 * dt2 * force(a)
+    b[-1] = a[-1]
 
     snap = 1
     pend = -1
     step = 1
     while True:
-        bad = not np.all(np.isfinite(b[:-1]))
-        psi = (b[:-1] + w_bg[:-1]) * inv_r[:-1] if mode == 1 else b[:-1] * inv_r[:-1]
-        big = False if bad else bool(np.any(np.abs(psi) > psi_cap))
-        if bad or big:
-            if pend >= 0:
-                v_snap[pend] = (b - w_snap[pend]) / dt
-            w_final[:] = b
-            v_final[:] = (b - a) / dt
-            return snap, step, (2 if bad else 1)
+        prepare(b)
+        if not psi.max() <= fast_cap:
+            if not np.all(np.isfinite(b[:-1])):
+                reason = 2
+            else:
+                reason = 1 if np.any(psi > psi_cap) else 0
+            if reason:
+                if pend >= 0:
+                    v_snap[pend] = (b - w_snap[pend]) / dt
+                w_final[:] = b
+                v_final[:] = (b - a) / dt
+                return snap, step, reason
 
         if step % stride == 0 and snap < w_snap.shape[0]:
             w_snap[snap] = b
@@ -389,11 +471,20 @@ def _leapfrog_numpy(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
             v_final[:] = (b - a) / dt
             return snap, n_steps, 0
 
-        c[:-1] = 2.0 * b[:-1] - a[:-1] + dt2 * force_of(b)
+        force(b)
+        np.subtract(two_y, a[:-1], out=c[:-1])
+        np.multiply(lap, dt2, out=lap)
+        np.add(c[:-1], lap, out=c[:-1])
         c[-1] = b[-1]
 
         if pend >= 0:
-            v_snap[pend] = (c - a) / (2.0 * dt)
+            v = v_snap[pend]
+            np.subtract(c, a, out=v)
+            np.divide(v, 2.0 * dt, out=v)
+            if decided(w_snap[pend], v):
+                w_final[:] = b
+                v_final[:] = v
+                return snap, step, 3
             pend = -1
         if step >= n_steps:
             w_final[:] = b
@@ -414,6 +505,8 @@ if USING_NUMBA:
     tridiag_solve = njit(cache=True)(tridiag_solve_py)
     inverse_iteration = njit(cache=True)(inverse_iteration_py)
     rk4_shoot = njit(cache=True)(rk4_shoot_py)
+    # the compiled leapfrog calls the compiled helper
+    _n_plus_loop = njit(cache=True)(_n_plus_loop)
     leapfrog = njit(cache=True)(_leapfrog_loop)
 else:
     sturm_count = sturm_count_py

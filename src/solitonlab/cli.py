@@ -457,7 +457,16 @@ def build_parser():
     return ap
 
 
+# parser bookkeeping that a config file may not set
+_RESERVED_KEYS = ("func", "command", "config")
+
+
 def _apply_config_file(args, argv):
+    """Fill flags not given on the command line from the --config file.
+
+    Raises ValueError naming the key for a reserved or unknown key and for
+    a value that does not parse as the flag's type.
+    """
     if getattr(args, "config", None):
         text = Path(args.config).read_text()
         file_vals = {}
@@ -470,20 +479,28 @@ def _apply_config_file(args, argv):
         argv_keys = {a.lstrip("-").replace("-", "_").split("=")[0]
                      for a in argv[1:] if a.startswith("--")}
         for key, val in file_vals.items():
-            if key in argv_keys or not hasattr(args, key):
+            if key in _RESERVED_KEYS:
+                raise ValueError(f"config key {key!r} is reserved")
+            if not hasattr(args, key):
+                raise ValueError(f"unknown config key {key!r} for {args.command}")
+            if key in argv_keys:
                 continue
             cur = getattr(args, key)
-            if isinstance(cur, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif isinstance(cur, int):
-                setattr(args, key, int(val))
-            elif isinstance(cur, float):
-                setattr(args, key, float(val))
-            elif isinstance(cur, list):
-                setattr(args, key, [type(cur[0])(x) if cur else float(x)
-                                    for x in val.split()])
-            else:
-                setattr(args, key, val)
+            try:
+                if isinstance(cur, bool):
+                    setattr(args, key, val.lower() in ("1", "true", "yes"))
+                elif isinstance(cur, int):
+                    setattr(args, key, int(val))
+                elif isinstance(cur, float):
+                    setattr(args, key, float(val))
+                elif isinstance(cur, list):
+                    setattr(args, key, [type(cur[0])(x) if cur else float(x)
+                                        for x in val.split()])
+                else:
+                    setattr(args, key, val)
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r}: cannot read {val!r}") from None
     return args
 
 
@@ -493,9 +510,13 @@ def main(argv=None):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        args = _apply_config_file(args, argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    try:
+        args = _apply_config_file(args, argv)
+    except (ValueError, OSError) as e:
+        print(f"invalid configuration: {e}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except BracketError as e:

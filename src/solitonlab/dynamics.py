@@ -17,6 +17,7 @@ e^{kt} if used directly.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -205,41 +206,87 @@ def discrete_energy(grid: RadialGrid, w: np.ndarray, wdot: np.ndarray) -> float:
     return 4.0 * np.pi * integrate(grid, dens)
 
 
-def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
-               config: EvolveConfig = EvolveConfig()) -> Trajectory:
-    """Leapfrog evolution of the radial quintic wave equation.
+@dataclass(frozen=True)
+class _Run:
+    """Snapshots of one leapfrog run and how it stopped (see _step).
 
-    Full-frame states advance the field itself; perturbation-frame states
-    advance the deviation from the static background with exact background
-    cancellation.  Records sup |psi - phi|, energy, the local energy inside
-    config.local_radius, and the unstable-mode amplitude n_plus at every
-    output stride, then classifies the outcome (stationary / dispersal /
-    blowup / undecided).
+    W and V hold the reduced field and its velocity at the snapshots
+    written; reason is the stepper's (0 horizon, 1 cap, 2 non-finite,
+    3 decided).  The derived series are computed on first use.
+    """
+
+    grid: RadialGrid
+    w_bg: np.ndarray
+    mode: UnstableMode
+    frame_flag: int
+    dt: float
+    stride: int
+    W: np.ndarray
+    V: np.ndarray
+    stop_step: int
+    reason: int
+
+    @cached_property
+    def times(self):
+        return np.arange(len(self.W)) * self.stride * self.dt
+
+    @cached_property
+    def pert_w(self):
+        return self.W - self.w_bg if self.frame_flag == 0 else self.W
+
+    @cached_property
+    def psi(self):
+        r = self.grid.nodes
+        return self.W / r if self.frame_flag == 0 else (self.W + self.w_bg) / r
+
+    @cached_property
+    def n_plus(self):
+        grid = self.grid
+        w_g = grid.nodes * self.mode.g
+        ip = 4.0 * np.pi
+        return 0.5 * (ip * self.pert_w @ (w_g * grid.weights)
+                      + ip * (self.V @ (w_g * grid.weights)) / self.mode.k)
+
+    @cached_property
+    def sup_norms(self):
+        return np.abs(self.pert_w / self.grid.nodes).max(axis=1)
+
+
+def _time_grid(grid: RadialGrid, t_final: float, dt, config: EvolveConfig):
+    """(dt, n_steps, stride) of a run; dt defaults to config.dt_factor h."""
+    h = grid.h
+    if dt is None:
+        dt = config.dt_factor * h
+    if dt > 0.9 * h + 1e-15:
+        raise ValueError(f"dt = {dt} violates the CFL bound 0.9 h = {0.9 * h}")
+    n_steps = max(1, int(round(t_final / dt)))
+    stride = max(1, int(round(config.stride_time / dt)))
+    return dt, n_steps, stride
+
+
+def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
+          early_exit: bool = False) -> _Run:
+    """Leapfrog core shared by evolve_nlw and the stable-manifold bisection.
+
+    With early_exit the stepper stops at the first snapshot whose |n_plus|
+    exceeds config.exit_n_plus, where the outcome is fixed.
     """
     grid = initial.grid
     r = grid.nodes
     h = grid.h
     n = grid.n
-    if dt is None:
-        dt = config.dt_factor * h
-    if dt > 0.9 * h + 1e-15:
-        raise ValueError(f"dt = {dt} violates the CFL bound 0.9 h = {0.9 * h}")
+    dt, n_steps, stride = _time_grid(grid, t_final, dt, config)
     w_bg = _background_for(grid, config)
     mode = unstable_mode(grid, config.background_a)
-    phi_ref = w_bg / r
 
     if initial.frame == "full":
         y0 = r * initial.u - w_bg
         mode_flag = 0
-        base = w_bg
     else:
         y0 = r * initial.u
         mode_flag = 1
-        base = w_bg
     v0 = r * initial.ut
 
-    n_steps = max(1, int(round(t_final / dt)))
-    stride = max(1, int(round(config.stride_time / dt)))
     n_snap = n_steps // stride + 1
     psi_cap = config.blow_factor * aubin_phi(0.0, config.background_a)
 
@@ -255,72 +302,95 @@ def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
     w_snap[0] = w_work
     v_snap[0] = v0
     inv_r4 = 1.0 / r ** 4
+    exit_args = ()
+    if early_exit:
+        exit_args = (4.0 * np.pi * (r * mode.g) * grid.weights, mode.k,
+                     config.exit_n_plus)
 
     n_got, stop_step, reason = leapfrog(
         w_work, v0.copy(), 1.0 / r, inv_r4, w_bg, 1.0 / h ** 2, dt,
         n_steps, stride, mode_flag, psi_cap, w_snap, v_snap,
-        w_final, v_final)
+        w_final, v_final, *exit_args)
+    return _Run(grid, w_bg, mode, mode_flag, dt, stride, w_snap[:n_got],
+                v_snap[:n_got], stop_step, reason)
 
-    times = np.arange(n_got) * stride * dt
-    W = w_snap[:n_got]
-    V = v_snap[:n_got]
-    if mode_flag == 0:
-        psi = W / r
-        pert_w = W - w_bg
-    else:
-        psi = (W + w_bg) / r
-        pert_w = W
 
-    w_g = r * mode.g
+def _outcome(run: _Run, config: EvolveConfig):
+    """(outcome, blowup_time, exit_time) of a run.
+
+    The amplitude cap means blowup; otherwise the first snapshot with
+    |n_plus| > exit_n_plus decides by the sign of n_plus; otherwise the
+    settle rule can call dispersal, and a run that never moved is
+    stationary.
+    """
+    if run.reason in (1, 2):
+        return "blowup", run.stop_step * run.dt, math.nan
+    n_plus = run.n_plus
+    exited = np.abs(n_plus) > config.exit_n_plus
+    # the stepper's own sum decided a reason-3 stop at the last snapshot
+    exited[-1] |= run.reason == 3
+    if exited.any():
+        j = int(np.argmax(exited))
+        return ("blowup" if n_plus[j] > 0 else "dispersal"), math.nan, run.times[j]
+    r = run.grid.nodes
+    init_sup = run.sup_norms[0]
+    if init_sup > 0.0:
+        core = r <= 1.0
+        core_dev = np.abs(run.pert_w[:, core] / r[core]).max(axis=1)
+        settled = core_dev < config.settle_frac * init_sup
+        need = max(1, int(round(config.settle_duration / (run.stride * run.dt))))
+        streak = 0
+        for j, s in enumerate(settled):
+            streak = streak + 1 if s else 0
+            if streak >= need and abs(n_plus[j]) < config.exit_n_plus:
+                return "dispersal", math.nan, run.times[j]
+    psi = run.psi
+    if np.abs(psi - psi[0]).max() <= config.stationary_tol:
+        return "stationary", math.nan, math.nan
+    return "undecided", math.nan, math.nan
+
+
+def _classify(initial: RadialState, t_final: float,
+              config: EvolveConfig) -> str:
+    """evolve_nlw(initial, t_final, config=config).outcome, stepping only
+    until the outcome is fixed and computing no other observable."""
+    return _outcome(_step(initial, t_final, None, config, early_exit=True),
+                    config)[0]
+
+
+def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
+               config: EvolveConfig = EvolveConfig()) -> Trajectory:
+    """Leapfrog evolution of the radial quintic wave equation.
+
+    Full-frame states advance the field itself; perturbation-frame states
+    advance the deviation from the static background with exact background
+    cancellation.  Records sup |psi - phi|, energy, the local energy inside
+    config.local_radius, and the unstable-mode amplitude n_plus at every
+    output stride, then classifies the outcome (stationary / dispersal /
+    blowup / undecided).
+    """
+    run = _step(initial, t_final, dt, config)
+    grid = initial.grid
+    r = grid.nodes
     ip = 4.0 * np.pi
-    n_plus = 0.5 * (ip * pert_w @ (w_g * grid.weights)
-                    + ip * (V @ (w_g * grid.weights)) / mode.k)
-    sup_norms = np.abs(pert_w / r).max(axis=1)
     loc = (r <= config.local_radius).astype(float)
     local_energy = np.array([
         ip * integrate(grid, 0.5 * loc * (vv ** 2 + ww ** 2))
-        for ww, vv in zip(pert_w, V)])
-    if mode_flag == 0:
-        energy = np.array([discrete_energy(grid, ww, vv) for ww, vv in zip(W, V)])
+        for ww, vv in zip(run.pert_w, run.V)])
+    if run.frame_flag == 0:
+        energy = np.array([discrete_energy(grid, ww, vv)
+                           for ww, vv in zip(run.W, run.V)])
     else:
-        energy = np.array([discrete_energy(grid, ww + w_bg, vv) for ww, vv in zip(W, V)])
-
-    outcome = "undecided"
-    blowup_time = math.nan
-    exit_time = math.nan
-    if reason in (1, 2):
-        outcome = "blowup"
-        blowup_time = stop_step * dt
-    else:
-        exited = np.abs(n_plus) > config.exit_n_plus
-        if exited.any():
-            j = int(np.argmax(exited))
-            exit_time = times[j]
-            outcome = "blowup" if n_plus[j] > 0 else "dispersal"
-        else:
-            init_sup = sup_norms[0]
-            core = r <= 1.0
-            core_dev = np.abs(pert_w[:, core] / r[core]).max(axis=1)
-            if init_sup > 0.0:
-                settled = core_dev < config.settle_frac * init_sup
-                need = max(1, int(round(config.settle_duration / (stride * dt))))
-                run = 0
-                for j, s in enumerate(settled):
-                    run = run + 1 if s else 0
-                    if run >= need and abs(n_plus[j]) < config.exit_n_plus:
-                        outcome = "dispersal"
-                        exit_time = times[j]
-                        break
-            drift = np.abs(psi - psi[0]).max()
-            if outcome == "undecided" and drift <= config.stationary_tol:
-                outcome = "stationary"
-
-    snaps = [RadialState(grid, psi[j], V[j] / r, "full") for j in range(n_got)]
-    return Trajectory(times=times, snapshots=snaps, sup_norms=sup_norms,
-                      local_energy=local_energy, n_plus_series=n_plus,
-                      energy_series=energy, outcome=outcome,
-                      blowup_time=blowup_time, exit_time=exit_time, dt=dt,
-                      background=w_bg)
+        energy = np.array([discrete_energy(grid, ww + run.w_bg, vv)
+                           for ww, vv in zip(run.W, run.V)])
+    outcome, blowup_time, exit_time = _outcome(run, config)
+    snaps = [RadialState(grid, run.psi[j], run.V[j] / r, "full")
+             for j in range(len(run.W))]
+    return Trajectory(times=run.times, snapshots=snaps,
+                      sup_norms=run.sup_norms, local_energy=local_energy,
+                      n_plus_series=run.n_plus, energy_series=energy,
+                      outcome=outcome, blowup_time=blowup_time,
+                      exit_time=exit_time, dt=run.dt, background=run.w_bg)
 
 
 @dataclass(frozen=True)
@@ -430,6 +500,18 @@ def project_to_sigma0(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     return f1 - c * mode.g, f2
 
 
+# the decay fit of find_stable_h: from t = 5 to between 7 and 25
+_DECAY_START, _DECAY_MIN_END, _DECAY_MAX_END = 5.0, 7.0, 25.0
+
+
+def _min_fit_horizon(dt: float, stride: int) -> float:
+    """Time of the snapshot that gives [5, 7] the 3 samples fit_decay needs
+    (inf when the snapshots are too sparse for any horizon)."""
+    times = np.arange(int(_DECAY_MIN_END / (stride * dt)) + 1) * stride * dt
+    inside = times[(times >= _DECAY_START) & (times <= _DECAY_MIN_END)]
+    return float(inside[2]) if inside.size >= 3 else math.inf
+
+
 def _near_manifold_span(traj: Trajectory, frac: float = 0.3) -> float:
     """Last time before the unstable-mode content pollutes the sup norm.
 
@@ -461,47 +543,58 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     final centrist run is therefore taken on [5, 25] clipped to the span
     where the unstable-mode content is still small against the dispersive
     sup norm; the window used is reported in the result.
+
+    Each bisection run stops at its decision: once |n_plus| passes
+    config.exit_n_plus (or the amplitude cap is hit) the outcome is fixed,
+    so only the final centrist run is stepped to the horizon and keeps its
+    observables.  A horizon too short to give the decay fit 3 snapshots in
+    [5, 7] is rejected with ValueError before the first run.
     """
+    dt, n_steps, stride = _time_grid(grid, t_horizon, None, config)
+    t_need = _min_fit_horizon(dt, stride)
+    if (n_steps // stride) * stride * dt < t_need:
+        raise ValueError(
+            f"t_horizon = {t_horizon:g} leaves fewer than 3 snapshots in the "
+            f"decay-fit window [{_DECAY_START:g}, {_DECAY_MIN_END:g}]; the "
+            f"minimum horizon is {t_need:g}")
     mode = unstable_mode(grid, config.background_a)
     f1p, f2p = project_to_sigma0(np.asarray(f1, float), np.asarray(f2, float),
                                  grid, mode)
-    runs = 0
 
-    def classify(hc):
-        nonlocal runs
-        runs += 1
-        st = RadialState(grid, f1p + hc * mode.g, f2p, "perturbation")
-        return evolve_nlw(st, t_horizon, config=config)
+    def state(hc):
+        return RadialState(grid, f1p + hc * mode.g, f2p, "perturbation")
 
     lo, hi = -bracket_width, bracket_width
-    t_lo = classify(lo)
-    t_hi = classify(hi)
-    if t_lo.outcome == t_hi.outcome or "undecided" in (t_lo.outcome, t_hi.outcome):
+    out_lo = _classify(state(lo), t_horizon, config)
+    out_hi = _classify(state(hi), t_horizon, config)
+    runs = 2
+    if out_lo == out_hi or "undecided" in (out_lo, out_hi):
         raise BracketError(
-            f"bracket ends gave {t_lo.outcome!r}/{t_hi.outcome!r}; widen it")
+            f"bracket ends gave {out_lo!r}/{out_hi!r}; widen it")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        t_mid = classify(mid)
-        out = t_mid.outcome
+        out = _classify(state(mid), t_horizon, config)
+        runs += 1
         if out == "undecided":
             # ran out of horizon without exiting: near enough to stop
             break
-        if out == t_lo.outcome:
+        if out == out_lo:
             lo = mid
         else:
             hi = mid
     h_star = 0.5 * (lo + hi)
-    traj = classify(h_star)
+    traj = evolve_nlw(state(h_star), t_horizon, config=config)
+    runs += 1
     t_clean = _near_manifold_span(traj)
     if math.isfinite(traj.blowup_time):
         t_clean = min(t_clean, traj.blowup_time)
-    win = (5.0, max(7.0, min(25.0, t_clean)))
+    win = (_DECAY_START, max(_DECAY_MIN_END, min(_DECAY_MAX_END, t_clean)))
     decay = fit_decay(traj.times, traj.sup_norms, win)
     return StableManifoldResult(
         h_star=h_star, bracket_final=(lo, hi),
-        below_outcome=t_lo.outcome, above_outcome=t_hi.outcome,
+        below_outcome=out_lo, above_outcome=out_hi,
         decay_fit=decay, decay_window=win, n_runs=runs, trajectory=traj)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import inverse_iteration, shoot_count, shoot_solution, sturm_count
-from .errors import ConvergenceError, TailFitError
+from .errors import ConvergenceError, NumericsError, TailFitError
 from .radial import (ChannelOperator, RadialGrid, apply_operator,
                      fit_loglog_slope, integrate)
 
@@ -270,10 +270,15 @@ def birman_schwinger_matrix(potential: np.ndarray, ell: int,
     rmax = np.maximum.outer(r, r)
     G = rmin ** (ell + 1) * rmax ** float(-ell) / (2 * ell + 1)
     K = vh[:, None] * G * vh[None, :]
-    asym = np.abs(K - K.T).max()
-    assert asym <= 1e-10 * max(1.0, np.abs(K).max()), \
-        f"Birman-Schwinger assembly asymmetry {asym:.2e}"
+    _check_symmetric(K)
     return K
+
+
+def _check_symmetric(K: np.ndarray):
+    """Raise NumericsError unless K is symmetric to 1e-10 of its scale."""
+    asym = np.abs(K - K.T).max()
+    if not asym <= 1e-10 * max(1.0, np.abs(K).max()):
+        raise NumericsError(f"Birman-Schwinger assembly asymmetry {asym:.2e}")
 
 
 def birman_schwinger_count(potential: np.ndarray, ell_max: int,

@@ -164,3 +164,27 @@ def test_console_entrypoint_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sigma-star" in proc.stdout
+
+
+@pytest.mark.parametrize("line, key", [
+    pytest.param("n = 5oo", "'n'", id="malformed-value"),
+    pytest.param("func = x", "'func'", id="reserved-func"),
+    pytest.param("command = bs-count", "'command'", id="reserved-command"),
+    pytest.param("config = other.cfg", "'config'", id="reserved-config"),
+    pytest.param("n-max = 40", "'n_max'", id="unknown-key"),
+])
+def test_config_file_errors_exit_2(tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    rc, out = run_cli(["spectrum", "--config", str(cfg)], tmp_path, "badcfg")
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
+    rc, out = run_cli(["stable-h", "--n", "1000", "--t-final", "5"],
+                      tmp_path, "shshort")
+    assert rc == 2
+    assert "minimum horizon" in capsys.readouterr().err
+    assert not (out / "stable_h.json").exists()

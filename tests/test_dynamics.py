@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from solitonlab.dynamics import (EvolveConfig, RadialState, discrete_energy,
-                                 project_to_sigma0,
+from solitonlab.dynamics import (EvolveConfig, RadialState, _classify,
+                                 discrete_energy, project_to_sigma0,
                                  evolve_nlw, evolve_unstable_mode, fit_decay,
                                  find_stable_h, linear_propagate,
                                  mode_decompose, nonlinearity_N, sine_split,
@@ -360,3 +360,61 @@ def test_find_stable_h_bracket_error(dyn_grid):
     with pytest.raises(BracketError):
         find_stable_h(0.01 * np.exp(-r ** 2), np.zeros(dyn_grid.n), dyn_grid,
                       bracket_width=1e-12, tol=0.0, t_horizon=20.0)
+
+
+def _full_run_bisection(f1, f2, grid, bracket_width, tol, t_horizon):
+    """find_stable_h's bisection with every candidate classified by a full
+    evolve_nlw run: (h_star, bracket_final, below, above, n_runs)."""
+    mode = unstable_mode(grid)
+    f1p, f2p = project_to_sigma0(f1, f2, grid, mode)
+
+    def outcome(hc):
+        st = RadialState(grid, f1p + hc * mode.g, f2p, "perturbation")
+        return evolve_nlw(st, t_horizon).outcome
+
+    lo, hi = -bracket_width, bracket_width
+    below, above = outcome(lo), outcome(hi)
+    runs = 2
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        out = outcome(mid)
+        runs += 1
+        if out == "undecided":
+            break
+        if out == below:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), (lo, hi), below, above, runs + 1
+
+
+def test_find_stable_h_matches_full_run_bisection():
+    g = make_grid(30.0, 1000)
+    f1 = 0.02 * np.exp(-g.nodes ** 2)
+    res = find_stable_h(f1, np.zeros(g.n), g, bracket_width=0.05, tol=0.0,
+                        t_horizon=20.0)
+    h_star, bracket, below, above, runs = _full_run_bisection(
+        f1, np.zeros(g.n), g, 0.05, 0.0, 20.0)
+    assert res.h_star == h_star
+    assert res.bracket_final == bracket
+    assert (res.below_outcome, res.above_outcome) == (below, above)
+    assert res.n_runs == runs
+
+
+def test_early_stopped_outcome_matches_evolve_nlw(dyn_grid, mode40):
+    r = dyn_grid.nodes
+    f1, f2 = project_to_sigma0(0.02 * np.exp(-r ** 2), np.zeros(dyn_grid.n),
+                               dyn_grid, mode40)
+    res = find_stable_h(0.02 * np.exp(-r ** 2), np.zeros(dyn_grid.n), dyn_grid,
+                        bracket_width=0.05, tol=1e-7, t_horizon=25.0)
+    lo, hi = res.bracket_final
+    candidates = [-0.05, 0.05, lo, hi, lo - 1e-4, hi + 1e-4, lo - 1e-2, hi + 1e-2]
+    outcomes = set()
+    for hc in candidates:
+        st = RadialState(dyn_grid, f1 + hc * mode40.g, f2, "perturbation")
+        out = _classify(st, 25.0, EvolveConfig())
+        assert out == evolve_nlw(st, 25.0).outcome
+        outcomes.add(out)
+    assert outcomes == {"blowup", "dispersal"}

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from solitonlab.errors import NotAZeroModeError
+from solitonlab.errors import NotAZeroModeError, NumericsError
 from solitonlab.radial import assemble_channel_operator, integrate, make_grid
 from solitonlab.solitons import aubin_dphi_da, aubin_dphi_dr, aubin_values
-from solitonlab.spectral import (birman_schwinger_count, count_nodes,
+from solitonlab.spectral import (_check_symmetric, birman_schwinger_count,
+                                 birman_schwinger_matrix, count_nodes,
                                  count_eigenvalues_below, eigenvalue_by_index,
                                  negative_eigenpairs, regular_solution,
                                  zero_energy_diagnosis)
@@ -178,3 +179,12 @@ def test_birman_schwinger_monotone_in_ell():
 def test_birman_schwinger_rejects_positive_potential(grid40):
     with pytest.raises(ValueError):
         birman_schwinger_count(np.ones(grid40.n), 1, grid40)
+
+
+def test_birman_schwinger_symmetry_check(grid40):
+    V = aubin_values(1.0, grid40)["potential"]
+    K = birman_schwinger_matrix(V, 1, grid40)
+    _check_symmetric(K)
+    K[3, 7] += 1e-6 * np.abs(K).max()
+    with pytest.raises(NumericsError, match="asymmetry"):
+        _check_symmetric(K)

@@ -6,7 +6,4 @@ Subpackages by topic: radial grids/operators (radial), static profiles
 dynamics and the stable-manifold experiment (dynamics), command line (cli).
 """
 
-from ._kernels import USING_NUMBA
-
-__all__ = ["USING_NUMBA"]
 __version__ = "0.1.0"

@@ -1,63 +1,48 @@
-"""Hot inner loops: Sturm counts, shooting recurrences, and leapfrog stepping.
+"""Hot inner loops: Sturm counts, shooting recurrences, RK4 ground-state
+integration, the leapfrog stepper and tridiagonal solves.
 
-The sequential recurrences (Sturm sign counts, outward shooting, RK4
-ground-state integration) and the wave time stepper dominate the runtime of
-every experiment in this package, so they are JIT-compiled with numba.
-Setting ``SOLITONLAB_DISABLE_NUMBA=1`` (or a failed numba import) selects a
-pure-Python/numpy fallback path instead: the time stepper falls back to
-vectorized numpy, the recurrences to plain Python loops.  Both paths run the
-same floating-point operations in the same order, so results agree to
-rounding; ``USING_NUMBA`` records which path is active.  The benchmark
-``perfbench/run.py`` times the path that runs, per layer with ``--trace 1``.
+Each kernel has one implementation.  The sequential recurrences are plain
+Python loops over float64 scalars, the time stepper is vectorized numpy
+working in preallocated buffers, and tridiagonal solves go to LAPACK
+``gtsv`` through scipy.  The benchmark ``perfbench/run.py`` times each of
+them with ``--trace 1``.
 """
 
-import os
-
 import numpy as np
+from scipy.linalg import LinAlgError, solve_banded
 
-_DISABLE = os.environ.get("SOLITONLAB_DISABLE_NUMBA", "") not in ("", "0")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
+from .errors import SingularSolveError
 
 _RENORM = 1e100
 
 
-# ---------------------------------------------------------------------------
-# reference (pure Python / numpy) implementations
-# ---------------------------------------------------------------------------
-
-def sturm_count_py(diag, off, x):
+def sturm_count(diag, off, x):
     """Number of eigenvalues of the symmetric tridiagonal (diag, off) below x.
 
-    Standard Sturm/LDL^T sign count; zero pivots are nudged so the count
-    stays well defined when x collides with a Ritz value.
+    Sturm/LDL^T sign count.  A pivot with |d| <= pivmin is replaced by
+    -pivmin, pivmin = tiny * max(1, max e^2) (the rule of LAPACK dstebz,
+    Kahan 1966), which keeps every quotient e^2/d finite and the count well
+    defined when x collides with a Ritz value.
     """
     n = diag.shape[0]
+    pivmin = np.finfo(float).tiny * max(1.0, np.max(off * off, initial=0.0))
     count = 0
     d = diag[0] - x
-    if d == 0.0:
-        d = -1e-300
+    if abs(d) <= pivmin:
+        d = -pivmin
     if d < 0.0:
         count += 1
     for i in range(1, n):
         e = off[i - 1]
         d = diag[i] - x - e * e / d
-        if d == 0.0:
-            d = -1e-300
+        if abs(d) <= pivmin:
+            d = -pivmin
         if d < 0.0:
             count += 1
     return count
 
 
-def shoot_count_py(h2_diag, energy_h2):
+def shoot_count(h2_diag, energy_h2):
     """Interior sign changes of the regular shooting solution of (A - E)w = 0.
 
     ``h2_diag`` holds h^2 * diagonal over the interior rows (the pinned
@@ -87,10 +72,10 @@ def shoot_count_py(h2_diag, energy_h2):
     return count
 
 
-def shoot_solution_py(h2_diag, energy_h2, out):
+def shoot_solution(h2_diag, energy_h2, out):
     """Regular shooting solution of (A - E)w = 0, written into ``out``.
 
-    Same recurrence as shoot_count_py but keeps the whole solution; on
+    Same recurrence as shoot_count but keeps the whole solution; on
     overflow the already-written prefix is renormalized so the output is one
     consistent scaling of the regular solution.
     """
@@ -113,75 +98,43 @@ def shoot_solution_py(h2_diag, energy_h2, out):
     return out
 
 
-def tridiag_solve_py(diag, off, rhs, out):
-    """Thomas solve of the symmetric tridiagonal system A x = rhs."""
-    n = diag.shape[0]
-    cp = np.empty(n - 1)
-    dp = np.empty(n)
-    d0 = diag[0]
-    if d0 == 0.0:
-        d0 = 1e-300
-    cp[0] = off[0] / d0
-    dp[0] = rhs[0] / d0
-    for i in range(1, n - 1):
-        denom = diag[i] - off[i - 1] * cp[i - 1]
-        if denom == 0.0:
-            denom = 1e-300
-        cp[i] = off[i] / denom
-        dp[i] = (rhs[i] - off[i - 1] * dp[i - 1]) / denom
-    denom = diag[n - 1] - off[n - 2] * cp[n - 2]
-    if denom == 0.0:
-        denom = 1e-300
-    dp[n - 1] = (rhs[n - 1] - off[n - 2] * dp[n - 2]) / denom
-    out[n - 1] = dp[n - 1]
-    for i in range(n - 2, -1, -1):
-        out[i] = dp[i] - cp[i] * out[i + 1]
-    return out
+def tridiag_solve(diag, off, rhs):
+    """Solution x of the symmetric tridiagonal system A x = rhs.
+
+    LAPACK gtsv (Gaussian elimination with partial pivoting) through
+    scipy's banded solver; an exactly singular A raises SingularSolveError.
+    """
+    ab = np.zeros((3, diag.shape[0]))
+    ab[0, 1:] = off
+    ab[1] = diag
+    ab[2, :-1] = off
+    try:
+        return solve_banded((1, 1), ab, rhs, overwrite_ab=True,
+                            check_finite=False)
+    except LinAlgError as exc:
+        raise SingularSolveError("singular tridiagonal system") from exc
 
 
-def inverse_iteration_py(diag, off, shift, v0, iters):
+def inverse_iteration(diag, off, shift, v0, iters):
     """Inverse iteration toward the eigenvector of (diag, off) nearest shift.
 
-    The Thomas solve is inlined so the whole loop compiles as one kernel.
+    Returns the last finite iterate as a unit vector; a zero seed v0 is
+    replaced by a constant vector.
     """
-    n = diag.shape[0]
-    v = v0.copy()
-    nrm = np.sqrt(np.sum(v * v))
-    if nrm == 0.0:
-        v[:] = 1.0
-        nrm = np.sqrt(float(n))
-    v /= nrm
+    nrm = np.linalg.norm(v0)
+    n = v0.shape[0]
+    v = v0 / nrm if nrm > 0.0 else np.full(n, 1.0 / np.sqrt(n))
     shifted = diag - shift
-    work = np.empty(n)
-    cp = np.empty(n - 1)
-    dp = np.empty(n)
     for _ in range(iters):
-        d0 = shifted[0]
-        if d0 == 0.0:
-            d0 = 1e-300
-        cp[0] = off[0] / d0
-        dp[0] = v[0] / d0
-        for i in range(1, n - 1):
-            denom = shifted[i] - off[i - 1] * cp[i - 1]
-            if denom == 0.0:
-                denom = 1e-300
-            cp[i] = off[i] / denom
-            dp[i] = (v[i] - off[i - 1] * dp[i - 1]) / denom
-        denom = shifted[n - 1] - off[n - 2] * cp[n - 2]
-        if denom == 0.0:
-            denom = 1e-300
-        dp[n - 1] = (v[n - 1] - off[n - 2] * dp[n - 2]) / denom
-        work[n - 1] = dp[n - 1]
-        for i in range(n - 2, -1, -1):
-            work[i] = dp[i] - cp[i] * work[i + 1]
-        nrm = np.sqrt(np.sum(work * work))
+        work = tridiag_solve(shifted, off, v)
+        nrm = np.linalg.norm(work)
         if not np.isfinite(nrm) or nrm == 0.0:
             break
-        v[:] = work / nrm
+        v = work / nrm
     return v
 
 
-def rk4_shoot_py(b, alpha2, sigma, dim, h, n, phi_out):
+def rk4_shoot(b, alpha2, sigma, dim, h, n, phi_out):
     """Outward RK4 integration of the radial ground-state equation.
 
     phi'' + ((dim-1)/r) phi' = alpha2 phi - |phi|^(2 sigma) phi, stepped off
@@ -233,27 +186,11 @@ def rk4_shoot_py(b, alpha2, sigma, dim, h, n, phi_out):
     return status, stop
 
 
-def _n_plus_loop(w, v, w_bg, mode, exit_weights, k):
-    """Unstable-mode amplitude n_plus = (<w', p> + <v, p>/k)/2 of one state.
-
-    w' is the perturbation part of the reduced field w (w - w_bg in mode 0,
-    w itself in mode 1) and p = exit_weights holds 4 pi r g times the
-    quadrature weights.
-    """
-    sw = 0.0
-    sv = 0.0
-    for i in range(w.shape[0]):
-        wi = w[i] - w_bg[i] if mode == 0 else w[i]
-        sw += wi * exit_weights[i]
-        sv += v[i] * exit_weights[i]
-    return 0.5 * (sw + sv / k)
-
-
-def _leapfrog_loop(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
-                   n_steps, stride, mode, psi_cap,
-                   w_snap, v_snap, w_final, v_final,
-                   exit_weights=None, k=1.0, exit_n_plus=np.inf):
-    """Explicit-loop leapfrog core (the numba-compiled hot path).
+def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
+             n_steps, stride, mode, psi_cap,
+             w_snap, v_snap, w_final, v_final,
+             exit_weights=None, k=1.0, exit_n_plus=np.inf):
+    """Leapfrog stepper of the reduced radial quintic wave equation.
 
     mode 0 steps the full reduced field w (w_tt = w_rr + w^5/r^4); mode 1
     steps the deviation v from the static background w_bg with the
@@ -266,126 +203,15 @@ def _leapfrog_loop(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     (snapshots_written, last_step, reason): reason 0 completed, 1 amplitude
     cap, 2 non-finite, 3 decided.
 
-    With exit_weights (the n_plus weights of _n_plus_loop, with the rate k)
-    the run stops with reason 3 at the first snapshot, slot 0 included,
-    whose |n_plus| exceeds exit_n_plus: last_step is that snapshot's step
+    With exit_weights (4 pi r g times the quadrature weights, with the rate
+    k) the run stops with reason 3 at the first snapshot, slot 0 included,
+    whose |n_plus| = |<w', p> + <v, p>/k|/2 exceeds exit_n_plus; w' is the
+    perturbation part of the field.  last_step is then that snapshot's step
     and the final state is the snapshot with its centered velocity.
-    """
-    n = w0.shape[0]
-    if exit_weights is not None:
-        if abs(_n_plus_loop(w0, v0, w_bg, mode, exit_weights, k)) > exit_n_plus:
-            for i in range(n):
-                w_final[i] = w0[i]
-                v_final[i] = v0[i]
-            return 1, 0, 3
-    dt2 = dt * dt
-    a = w0.copy()
-    b = np.empty(n)
-    c = np.empty(n)
-    for i in range(n - 1):
-        left = a[i - 1] if i > 0 else 0.0
-        lap = (a[i + 1] - 2.0 * a[i] + left) * inv_h2
-        if mode == 0:
-            wi = a[i]
-            w2 = wi * wi
-            force = lap + w2 * w2 * wi * inv_r4[i]
-        else:
-            tot = w_bg[i] + a[i]
-            bg = w_bg[i]
-            t2 = tot * tot
-            g2 = bg * bg
-            force = lap + (t2 * t2 * tot - g2 * g2 * bg) * inv_r4[i]
-        b[i] = a[i] + dt * v0[i] + 0.5 * dt2 * force
-    b[n - 1] = a[n - 1]
 
-    snap = 1
-    pend = -1
-    step = 1
-    reason = 0
-    while True:
-        bad = False
-        big = False
-        for i in range(n - 1):
-            x = b[i]
-            if not np.isfinite(x):
-                bad = True
-                break
-            psi = (x + w_bg[i]) * inv_r[i] if mode == 1 else x * inv_r[i]
-            if abs(psi) > psi_cap:
-                big = True
-        if bad or big:
-            reason = 2 if bad else 1
-            if pend >= 0:
-                for i in range(n):
-                    v_snap[pend, i] = (b[i] - w_snap[pend, i]) / dt
-            for i in range(n):
-                w_final[i] = b[i]
-                v_final[i] = (b[i] - a[i]) / dt
-            return snap, step, reason
-
-        if step % stride == 0 and snap < w_snap.shape[0]:
-            for i in range(n):
-                w_snap[snap, i] = b[i]
-            pend = snap
-            snap += 1
-
-        if step >= n_steps and pend < 0:
-            for i in range(n):
-                w_final[i] = b[i]
-                v_final[i] = (b[i] - a[i]) / dt
-            return snap, n_steps, 0
-
-        for i in range(n - 1):
-            left = b[i - 1] if i > 0 else 0.0
-            lap = (b[i + 1] - 2.0 * b[i] + left) * inv_h2
-            if mode == 0:
-                wi = b[i]
-                w2 = wi * wi
-                force = lap + w2 * w2 * wi * inv_r4[i]
-            else:
-                tot = w_bg[i] + b[i]
-                bg = w_bg[i]
-                t2 = tot * tot
-                g2 = bg * bg
-                force = lap + (t2 * t2 * tot - g2 * g2 * bg) * inv_r4[i]
-            c[i] = 2.0 * b[i] - a[i] + dt2 * force
-        c[n - 1] = b[n - 1]
-
-        if pend >= 0:
-            for i in range(n):
-                v_snap[pend, i] = (c[i] - a[i]) / (2.0 * dt)
-            if exit_weights is not None:
-                n_plus = _n_plus_loop(w_snap[pend], v_snap[pend], w_bg, mode,
-                                      exit_weights, k)
-                if abs(n_plus) > exit_n_plus:
-                    for i in range(n):
-                        w_final[i] = b[i]
-                        v_final[i] = v_snap[pend, i]
-                    return snap, step, 3
-            pend = -1
-        if step >= n_steps:
-            for i in range(n):
-                w_final[i] = b[i]
-                v_final[i] = (c[i] - a[i]) / (2.0 * dt)
-            return snap, n_steps, 0
-        tmp = a
-        a = b
-        b = c
-        c = tmp
-        step += 1
-
-
-def _leapfrog_numpy(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
-                    n_steps, stride, mode, psi_cap,
-                    w_snap, v_snap, w_final, v_final,
-                    exit_weights=None, k=1.0, exit_n_plus=np.inf):
-    """Vectorized numpy twin of _leapfrog_loop (the fallback hot path).
-
-    Each step writes into preallocated buffers and runs the floating-point
-    operations of the loop twin in the same order, so trajectories do not
-    depend on the buffering.  The amplitude test is one max |psi| <= cap
-    per step; only when it fails is the exact reason (cap or non-finite)
-    worked out.
+    Each step writes into preallocated buffers.  The amplitude test is one
+    max |psi| <= cap per step; only when it fails is the exact reason (cap
+    or non-finite) worked out.
     """
     n = w0.shape[0]
     dt2 = dt * dt
@@ -492,29 +318,3 @@ def _leapfrog_numpy(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
             return snap, n_steps, 0
         a, b, c = b, c, a
         step += 1
-
-
-# ---------------------------------------------------------------------------
-# path selection
-# ---------------------------------------------------------------------------
-
-if USING_NUMBA:
-    sturm_count = njit(cache=True)(sturm_count_py)
-    shoot_count = njit(cache=True)(shoot_count_py)
-    shoot_solution = njit(cache=True)(shoot_solution_py)
-    tridiag_solve = njit(cache=True)(tridiag_solve_py)
-    inverse_iteration = njit(cache=True)(inverse_iteration_py)
-    rk4_shoot = njit(cache=True)(rk4_shoot_py)
-    # the compiled leapfrog calls the compiled helper
-    _n_plus_loop = njit(cache=True)(_n_plus_loop)
-    leapfrog = njit(cache=True)(_leapfrog_loop)
-else:
-    sturm_count = sturm_count_py
-    shoot_count = shoot_count_py
-    shoot_solution = shoot_solution_py
-    tridiag_solve = tridiag_solve_py
-    inverse_iteration = inverse_iteration_py
-    rk4_shoot = rk4_shoot_py
-    leapfrog = _leapfrog_numpy
-
-leapfrog_py = _leapfrog_numpy

@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import USING_NUMBA
 from .errors import BracketError, NumericsError
 from .radial import make_grid
 from .solitons import aubin_values, aubin_dphi_dr, nls_ground_state
@@ -63,7 +62,6 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace):
         "versions": {
             "solitonlab": __version__,
             "numpy": np.__version__,
-            "numba_active": USING_NUMBA,
         },
         "grid": {"r_max": getattr(args, "r_max", None),
                  "n": getattr(args, "n", None)},

@@ -24,7 +24,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from ._kernels import leapfrog, tridiag_solve
 from .errors import BracketError, ConvergenceError
-from .radial import RadialGrid, assemble_channel_operator, integrate
+from .radial import RadialGrid, assemble_channel_operator, inner_3d, integrate
 from .solitons import aubin_phi, aubin_potential
 from .spectral import eigenvalue_by_index, eigenvector_at
 
@@ -71,8 +71,7 @@ def static_background(grid: RadialGrid, a: float = 1.0,
         diag[-1] = 1.0
         off = np.full(n - 1, 1.0 / h2)
         off[-1] = 0.0
-        dw = np.empty(n)
-        tridiag_solve(diag, off, res, dw)
+        dw = tridiag_solve(diag, off, res)
         dw[-1] = 0.0
         w = w - dw
     else:
@@ -416,8 +415,8 @@ def mode_decompose(state: RadialState, g: np.ndarray, k: float) -> ModeDecomposi
     nrm = 4.0 * np.pi * integrate(grid, (grid.nodes * g) ** 2)
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"g is not unit-normalized: |g|^2 = {nrm}")
-    a = 4.0 * np.pi * integrate(grid, state.u * g * grid.nodes ** 2)
-    b = 4.0 * np.pi * integrate(grid, state.ut * g * grid.nodes ** 2)
+    a = inner_3d(grid, state.u, g)
+    b = inner_3d(grid, state.ut, g)
     n_plus = 0.5 * (a + b / k)
     n_minus = 0.5 * (a - b / k)
     u_t = RadialState(grid, state.u - (n_plus + n_minus) * g,
@@ -495,8 +494,7 @@ class StableManifoldResult:
 def project_to_sigma0(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
                       mode: UnstableMode):
     """Remove the g-component from f1 so <k f1 + f2, g> = 0."""
-    c = 4.0 * np.pi * integrate(
-        grid, (mode.k * f1 + f2) * mode.g * grid.nodes ** 2) / mode.k
+    c = inner_3d(grid, mode.k * f1 + f2, mode.g) / mode.k
     return f1 - c * mode.g, f2
 
 

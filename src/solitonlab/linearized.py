@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import tridiag_solve
 from .errors import BracketError, SingularSolveError
 from .radial import (ChannelOperator, assemble_channel_operator, dense_matrix,
-                     integrate, make_grid)
+                     inner_3d, integrate, make_grid, solve_shifted)
 from .solitons import NlsGroundState, d_alpha_ground_state, nls_ground_state
 from .spectral import (count_eigenvalues_below, count_nodes, edge_diagnosis,
                        eigenvalue_by_index)
@@ -173,8 +172,7 @@ def weinstein_h(pair: LinearizedPair, mu: float) -> float:
     if count_eigenvalues_below(op, mu + delta) != count_eigenvalues_below(op, mu - delta):
         raise SingularSolveError(f"mu = {mu} collides with an eigenvalue of L_plus")
     w_phi = g.nodes * pair.profile.samples
-    x = np.empty(g.n)
-    tridiag_solve(op.diagonal - mu, op.off_diagonal, w_phi, x)
+    x = solve_shifted(op, mu, w_phi)
     return 4.0 * np.pi * integrate(g, x * w_phi)
 
 
@@ -183,9 +181,7 @@ def weinstein_h_from_scaling(pair: LinearizedPair,
     """The identity route h(0) = -(1/2 alpha) <d_alpha phi, phi>."""
     p = pair.profile
     dphi = d_alpha_ground_state(p, rel_step)
-    g = p.grid
-    ip = 4.0 * np.pi * integrate(g, dphi * p.samples * g.nodes ** 2)
-    return -0.5 / p.alpha * ip
+    return -0.5 / p.alpha * inner_3d(p.grid, dphi, p.samples)
 
 
 def mu0(pair: LinearizedPair) -> float:

@@ -106,14 +106,12 @@ def apply_operator(op: ChannelOperator, v: np.ndarray) -> np.ndarray:
 
 def solve_shifted(op: ChannelOperator, shift: float,
                   rhs: np.ndarray) -> np.ndarray:
-    """Solve (op - shift) x = rhs by the Thomas algorithm."""
+    """Solve (op - shift) x = rhs (LAPACK gtsv, partial pivoting)."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != op.diagonal.shape:
         raise ValueError(
             f"rhs has shape {rhs.shape}, operator has {op.diagonal.shape}")
-    out = np.empty_like(rhs)
-    tridiag_solve(op.diagonal - shift, op.off_diagonal, rhs, out)
-    return out
+    return tridiag_solve(op.diagonal - shift, op.off_diagonal, rhs)
 
 
 def integrate(grid: RadialGrid, samples: np.ndarray) -> float:

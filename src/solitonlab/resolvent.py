@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotAZeroModeError, SingularSolveError, ZeroEnergyObstruction
 from .radial import (RadialGrid, apply_operator, assemble_channel_operator,
-                     fit_loglog_slope, integrate)
+                     fit_loglog_slope, inner_3d, integrate)
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def classify_zero_mode(V: np.ndarray, f: np.ndarray, grid: RadialGrid,
         raise NotAZeroModeError(
             f"relative residual {rel:.2e} exceeds {residual_tol:.0e}")
     if ell == 0:
-        v_int = 4.0 * np.pi * integrate(grid, V * f * grid.nodes ** 2)
+        v_int = inner_3d(grid, V, f)
         v_scale = 4.0 * np.pi * integrate(grid, np.abs(V * f) * grid.nodes ** 2)
         significant = abs(v_int) > v_tol * max(v_scale, 1e-300)
     else:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import rk4_shoot
 from .errors import ConvergenceError
-from .radial import RadialGrid, fit_loglog_slope, integrate, make_grid
+from .radial import RadialGrid, fit_loglog_slope, inner_3d, integrate, make_grid
 
 _OVERSHOOT = 1
 _UNDERSHOOT = 2
@@ -190,7 +190,7 @@ def ground_state_mass(profile: NlsGroundState) -> float:
     """Squared L^2 norm of the profile (d-dimensional radial measure)."""
     g = profile.grid
     if profile.d == 3:
-        return 4.0 * np.pi * integrate(g, profile.samples ** 2 * g.nodes ** 2)
+        return inner_3d(g, profile.samples, profile.samples)
     return 2.0 * integrate(g, profile.samples ** 2)
 
 

@@ -1,11 +1,17 @@
-"""Parity of the numba-compiled kernels with their pure-Python/numpy twins,
-and of the buffered numpy leapfrog with its allocating reference."""
+"""The kernels against independent oracles (LAPACK, dense solves, scipy's
+integrator, leading minors), and the buffered leapfrog against its
+allocating reference."""
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 from oracles import leapfrog_numpy_reference
 from solitonlab import _kernels as K
+from solitonlab.errors import SingularSolveError
 from solitonlab.radial import assemble_channel_operator, make_grid
 from solitonlab.solitons import aubin_values
 
@@ -16,59 +22,101 @@ def op():
     return assemble_channel_operator(g, 0, aubin_values(1.0, g)["potential"])
 
 
-def test_paths_report(capsys):
-    # informational: which path is active
-    print(f"numba active: {K.USING_NUMBA}")
-
-
 def test_sturm_count_parity(op, rng):
+    # parity with the eigenvalue count of LAPACK's tridiagonal eigensolver
+    evals = eigvalsh_tridiagonal(op.diagonal, op.off_diagonal)
     for x in rng.uniform(-10.0, 10.0, 25):
         assert K.sturm_count(op.diagonal, op.off_diagonal, x) \
-            == K.sturm_count_py(op.diagonal, op.off_diagonal, x)
+            == np.sum(evals < x)
+
+
+def test_sturm_count_zero_pivot_stays_finite():
+    # x = diag[0] makes the first pivot exactly zero; with e^2 = 1e12 the
+    # old -1e-300 nudge overflowed e^2/d on the next row
+    n = 64
+    diag = np.full(n, 2e6)
+    off = np.full(n - 1, -1e6)
+    evals = eigvalsh_tridiagonal(diag, off)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        count = K.sturm_count(diag, off, diag[0])
+    assert count == np.sum(evals < diag[0]) == n // 2
 
 
 def test_shoot_count_parity(op, rng):
+    # sign changes of w[0..m-1] count the eigenvalues of the leading
+    # (m-1) x (m-1) block, m = n - 1 interior rows (discrete oscillation)
     h2 = op.grid.h ** 2
     d = op.diagonal[:-1] * h2
+    evals = eigvalsh_tridiagonal(op.diagonal[:-2], op.off_diagonal[:-2])
     for x in rng.uniform(-10.0, 10.0, 25):
-        assert K.shoot_count(d, x * h2) == K.shoot_count_py(d, x * h2)
+        assert K.shoot_count(d, x * h2) == np.sum(evals < x)
 
 
-def test_shoot_solution_parity(op):
-    h2 = op.grid.h ** 2
-    d = op.diagonal * h2
-    a = np.empty(op.grid.n)
-    b = np.empty(op.grid.n)
-    K.shoot_solution(d, 0.0, a)
-    K.shoot_solution_py(d, 0.0, b)
-    assert np.array_equal(a, b)
+def test_shoot_solution_parity(rng):
+    # w[j] is the j-th leading principal minor of the matrix with diagonal
+    # h2_diag - E and off-diagonal -1 (the continuant recurrence)
+    m = 30
+    d = rng.uniform(1.5, 2.5, m)
+    out = np.empty(m)
+    K.shoot_solution(d, 0.3, out)
+    t = np.diag(d - 0.3) - np.eye(m, k=1) - np.eye(m, k=-1)
+    minors = np.array([1.0] + [np.linalg.det(t[:j, :j]) for j in range(1, m)])
+    assert np.allclose(out, minors, rtol=1e-12, atol=1e-12)
+
+
+def _assert_solves(diag, off, rhs):
+    # normwise agreement with a dense solve, to the conditioning's bound
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    ref = np.linalg.solve(dense, rhs)
+    x = K.tridiag_solve(diag, off, rhs)
+    tol = 10.0 * np.finfo(float).eps * np.linalg.cond(dense)
+    assert np.abs(x - ref).max() <= tol * np.abs(ref).max()
 
 
 def test_tridiag_solve_parity(op, rng):
-    rhs = rng.standard_normal(op.grid.n)
-    a = np.empty_like(rhs)
-    b = np.empty_like(rhs)
-    K.tridiag_solve(op.diagonal, op.off_diagonal, rhs, a)
-    K.tridiag_solve_py(op.diagonal, op.off_diagonal, rhs, b)
-    assert np.array_equal(a, b)
+    # parity with a dense solve, on the operator and on a system with zero
+    # diagonal entries that needs pivoting
+    _assert_solves(op.diagonal, op.off_diagonal, rng.standard_normal(op.grid.n))
+    diag = rng.standard_normal(40)
+    diag[::3] = 0.0
+    _assert_solves(diag, rng.uniform(0.5, 1.5, 39), rng.standard_normal(40))
+
+
+def test_tridiag_solve_singular_raises():
+    # the leading 2 x 2 block [[1, 1], [1, 1]] is exactly singular
+    with pytest.raises(SingularSolveError):
+        K.tridiag_solve(np.array([1.0, 1.0, 2.0]), np.array([1.0, 0.0]),
+                        np.ones(3))
 
 
 def test_inverse_iteration_parity(op):
+    # parity with LAPACK's ground-state eigenvector
+    evals, vecs = eigh_tridiagonal(op.diagonal, op.off_diagonal, select="i",
+                                   select_range=(0, 0))
     seed = op.grid.nodes * np.exp(-op.grid.nodes)
-    a = K.inverse_iteration(op.diagonal, op.off_diagonal, -3.6, seed, 3)
-    b = K.inverse_iteration_py(op.diagonal, op.off_diagonal, -3.6, seed, 3)
-    assert np.allclose(a, b, rtol=1e-13, atol=1e-15)
+    v = K.inverse_iteration(op.diagonal, op.off_diagonal,
+                            evals[0] + 1e-11 * (1.0 + abs(evals[0])), seed, 3)
+    ref = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
+    assert np.abs(v - ref).max() < 1e-12
 
 
 def test_rk4_shoot_parity():
-    n = 800
-    pa = np.empty(n)
-    pb = np.empty(n)
-    sa = K.rk4_shoot(4.2, 1.0, 1.0, 3.0, 0.05, n, pa)
-    sb = K.rk4_shoot_py(4.2, 1.0, 1.0, 3.0, 0.05, n, pb)
-    assert sa == sb
-    stop = sa[1]
-    assert np.array_equal(pa[: stop + 1], pb[: stop + 1])
+    # parity with scipy's DOP853 on phi'' + (2/r) phi' = phi - phi^3 from the
+    # same series start, up to RK4's O(h^4) error
+    n, h, b = 800, 0.05, 4.2
+    phi = np.empty(n)
+    status, stop = K.rk4_shoot(b, 1.0, 1.0, 3.0, h, n, phi)
+    assert status == 2 and 1 < stop < n - 1  # b = 4.2 turns upward
+
+    def rhs(r, y):
+        return [y[1], y[0] - abs(y[0]) ** 2 * y[0] - 2.0 / r * y[1]]
+
+    f0 = b - b ** 3
+    r = h * np.arange(1, stop + 1)
+    ref = solve_ivp(rhs, (h, r[-1]), [b + 0.5 * h * h * f0 / 3.0, h * f0 / 3.0],
+                    method="DOP853", t_eval=r, rtol=1e-12, atol=1e-12)
+    assert np.abs(phi[:stop] - ref.y[0]).max() < 1e-4
 
 
 def _leapfrog_case(mode, n=400, n_steps=200, stride=20):
@@ -97,27 +145,14 @@ def _run_leapfrog(fn, case, psi_cap=1e3, exit_args=()):
     return res, w_snap, v_snap, wf, vf
 
 
-def _loop_twin():
-    return K.leapfrog if K.USING_NUMBA else K._leapfrog_loop
-
-
-def test_leapfrog_parity(rng):
-    outs = [_run_leapfrog(fn, _leapfrog_case(1))
-            for fn in (_loop_twin(), K.leapfrog_py)]
-    (ra, wa, va, _, _), (rb, wb, vb, _, _) = outs
-    assert ra == rb
-    assert np.allclose(wa, wb, rtol=1e-12, atol=1e-14)
-    assert np.allclose(va, vb, rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("mode", [0, 1])
 def test_leapfrog_parity_early_exit(mode):
     # the exit level sits halfway between a mid-run record of |n_plus| and
-    # the largest value before it, so both twins must stop at that snapshot
+    # the largest value before it, so the run must stop at that snapshot
     case = _leapfrog_case(mode, n_steps=50, stride=4)
     _, _, _, w_bg, args, p = case
     k = 1.7
-    full, w_full, v_full, _, _ = _run_leapfrog(K.leapfrog_py, case)
+    full, w_full, v_full, _, _ = _run_leapfrog(K.leapfrog, case)
     assert full[2] == 0
     pert = w_full - w_bg if mode == 0 else w_full
     n_plus = np.abs(0.5 * (pert @ p + (v_full @ p) / k))
@@ -125,23 +160,17 @@ def test_leapfrog_parity_early_exit(mode):
     j = records[len(records) // 2]
     assert 1 <= j < len(n_plus) - 1
     level = 0.5 * (n_plus[j] + n_plus[:j].max())
-    outs = [_run_leapfrog(fn, case, exit_args=(p, k, level))
-            for fn in (_loop_twin(), K.leapfrog_py)]
-    (ra, wa, va, wfa, vfa), (rb, wb, vb, wfb, vfb) = outs
-    assert ra == rb == (j + 1, j * args[6], 3)
+    res, w, v, wf, vf = _run_leapfrog(K.leapfrog, case, exit_args=(p, k, level))
+    assert res == (j + 1, j * args[6], 3)
     # the early-stopped run is the prefix of the full one
-    assert np.array_equal(wb[:j + 1], w_full[:j + 1])
-    assert np.array_equal(vb[:j + 1], v_full[:j + 1])
-    assert np.array_equal(wfb, wb[j]) and np.array_equal(vfb, vb[j])
-    assert np.allclose(wa[:j + 1], wb[:j + 1], rtol=1e-12, atol=1e-14)
-    assert np.allclose(va[:j + 1], vb[:j + 1], rtol=1e-12, atol=1e-12)
-    assert np.allclose(wfa, wfb, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(w[:j + 1], w_full[:j + 1])
+    assert np.array_equal(v[:j + 1], v_full[:j + 1])
+    assert np.array_equal(wf, w[j]) and np.array_equal(vf, v[j])
     # an initial state already past the level stops before the first step
-    for fn in (_loop_twin(), K.leapfrog_py):
-        res, _, _, wf, _ = _run_leapfrog(fn, case,
-                                         exit_args=(p, k, 0.5 * n_plus[0]))
-        assert res == (1, 0, 3)
-        assert np.array_equal(wf, case[1])
+    res, _, _, wf, _ = _run_leapfrog(K.leapfrog, case,
+                                     exit_args=(p, k, 0.5 * n_plus[0]))
+    assert res == (1, 0, 3)
+    assert np.array_equal(wf, case[1])
 
 
 @pytest.mark.parametrize("mode, amp, psi_cap", [
@@ -157,7 +186,7 @@ def test_leapfrog_numpy_matches_reference(mode, amp, psi_cap):
                                                       stride=10)
     w0 += amp * w_bg  # amp = 1 puts twice the profile in: quintic runaway
     with np.errstate(over="ignore", invalid="ignore"):
-        new = _run_leapfrog(K._leapfrog_numpy, case, psi_cap)
+        new = _run_leapfrog(K.leapfrog, case, psi_cap)
         ref = _run_leapfrog(leapfrog_numpy_reference, case, psi_cap)
     assert new[0] == ref[0]
     assert new[0][2] == (0 if amp == 0.0 else 1 if np.isfinite(psi_cap) else 2)

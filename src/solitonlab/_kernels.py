@@ -22,10 +22,13 @@ def sturm_count(diag, off, x):
     Sturm/LDL^T sign count.  A pivot with |d| <= pivmin is replaced by
     -pivmin, pivmin = tiny * max(1, max e^2) (the rule of LAPACK dstebz,
     Kahan 1966), which keeps every quotient e^2/d finite and the count well
-    defined when x collides with a Ritz value.
+    defined when x collides with a Ritz value.  The loop runs over Python
+    float copies, which index far faster than numpy arrays.
     """
     n = diag.shape[0]
-    pivmin = np.finfo(float).tiny * max(1.0, np.max(off * off, initial=0.0))
+    pivmin = float(np.finfo(float).tiny
+                   * max(1.0, np.max(off * off, initial=0.0)))
+    diag, off, x = diag.tolist(), off.tolist(), float(x)
     count = 0
     d = diag[0] - x
     if abs(d) <= pivmin:
@@ -52,6 +55,7 @@ def shoot_count(h2_diag, energy_h2):
     Dirichlet eigenvalues below E (discrete oscillation theorem).
     """
     m = h2_diag.shape[0]
+    h2_diag, energy_h2 = h2_diag.tolist(), float(energy_h2)
     count = 0
     w_prev = 0.0
     w = 1.0
@@ -188,8 +192,7 @@ def rk4_shoot(b, alpha2, sigma, dim, h, n, phi_out):
 
 def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
              n_steps, stride, mode, psi_cap,
-             w_snap, v_snap, w_final, v_final,
-             exit_weights=None, k=1.0, exit_n_plus=np.inf):
+             w_snap, v_snap, exit_weights=None, k=1.0, exit_n_plus=np.inf):
     """Leapfrog stepper of the reduced radial quintic wave equation.
 
     mode 0 steps the full reduced field w (w_tt = w_rr + w^5/r^4); mode 1
@@ -206,8 +209,7 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     With exit_weights (4 pi r g times the quadrature weights, with the rate
     k) the run stops with reason 3 at the first snapshot, slot 0 included,
     whose |n_plus| = |<w', p> + <v, p>/k|/2 exceeds exit_n_plus; w' is the
-    perturbation part of the field.  last_step is then that snapshot's step
-    and the final state is the snapshot with its centered velocity.
+    perturbation part of the field; last_step is then that snapshot's step.
 
     Each step writes into preallocated buffers.  The amplitude test is one
     max |psi| <= cap per step; only when it fails is the exact reason (cap
@@ -259,8 +261,6 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
         return abs(n_plus) > exit_n_plus
 
     if decided(w0, v0):
-        w_final[:] = w0
-        v_final[:] = v0
         return 1, 0, 3
 
     a = w0.copy()
@@ -283,8 +283,6 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
             if reason:
                 if pend >= 0:
                     v_snap[pend] = (b - w_snap[pend]) / dt
-                w_final[:] = b
-                v_final[:] = (b - a) / dt
                 return snap, step, reason
 
         if step % stride == 0 and snap < w_snap.shape[0]:
@@ -293,8 +291,6 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
             snap += 1
 
         if step >= n_steps and pend < 0:
-            w_final[:] = b
-            v_final[:] = (b - a) / dt
             return snap, n_steps, 0
 
         force(b)
@@ -308,13 +304,9 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
             np.subtract(c, a, out=v)
             np.divide(v, 2.0 * dt, out=v)
             if decided(w_snap[pend], v):
-                w_final[:] = b
-                v_final[:] = v
                 return snap, step, 3
             pend = -1
         if step >= n_steps:
-            w_final[:] = b
-            v_final[:] = (c - a) / (2.0 * dt)
             return snap, n_steps, 0
         a, b, c = b, c, a
         step += 1

@@ -40,25 +40,22 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=_json_default) + "\n")
+def _run(args) -> int:
+    """Run the subcommand and write its files plus manifest.json.
 
-
-def _write_csv(path: Path, header: list, columns: list):
-    rows = np.column_stack(columns)
-    with path.open("w") as f:
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(format(x, ".17g") for x in row) + "\n")
-
-
-def _write_manifest(out: Path, command: str, args: argparse.Namespace):
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "config")}
-    _write_json(out / "manifest.json", {
-        "command": command,
-        "config": cfg,
+    A command returns {file name: JSON payload | (CSV header, columns)},
+    and evolve also its exit code; nothing is written when it raises.
+    """
+    files = args.func(args)
+    code = 0
+    if isinstance(files, tuple):
+        files, code = files
+    out = Path(args.out_dir or os.environ.get("SOLITONLAB_OUT_DIR", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    files["manifest.json"] = {
+        "command": args.command,
+        "config": {k: v for k, v in sorted(vars(args).items())
+                   if k not in ("func", "config")},
         "versions": {
             "solitonlab": __version__,
             "numpy": np.__version__,
@@ -66,14 +63,18 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace):
         "grid": {"r_max": getattr(args, "r_max", None),
                  "n": getattr(args, "n", None)},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    })
-
-
-def _out_dir(args) -> Path:
-    base = args.out_dir or os.environ.get("SOLITONLAB_OUT_DIR", ".")
-    out = Path(base)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    }
+    for name, data in files.items():
+        if isinstance(data, tuple):
+            header, columns = data
+            text = ",".join(header) + "\n" + "".join(
+                ",".join(format(x, ".17g") for x in row) + "\n"
+                for row in np.column_stack(columns))
+        else:
+            text = json.dumps(data, indent=2, sort_keys=True,
+                              default=_json_default) + "\n"
+        (out / name).write_text(text)
+    return code
 
 
 def cmd_spectrum(args):
@@ -82,8 +83,7 @@ def cmd_spectrum(args):
     op = assemble_channel_operator(g, args.ell, av["potential"])
     pairs = negative_eigenpairs(op)
     diag = zero_energy_diagnosis(op)
-    out = _out_dir(args)
-    _write_json(out / "spectrum.json", {
+    files = {"spectrum.json": {
         "a": args.a,
         "ell": args.ell,
         "negative_eigenvalues": [p.energy for p in pairs],
@@ -96,28 +96,24 @@ def cmd_spectrum(args):
             "v_integral": diag.v_integral,
             "fit_residual": diag.fit_residual,
         },
-    })
+    }}
     if pairs:
-        _write_csv(out / "ground_state.csv", ["r", "g"],
-                   [g.nodes, pairs[0].vector])
-    _write_manifest(out, "spectrum", args)
-    return 0
+        files["ground_state.csv"] = (["r", "g"], [g.nodes, pairs[0].vector])
+    return files
 
 
 def cmd_bs_count(args):
     g = make_grid(args.r_max, args.n)
     V = aubin_values(args.a, g)["potential"]
     rep = birman_schwinger_count(V, args.ell_max, g, args.eps)
-    _write_json(_out_dir(args) / "bs_count.json", {
+    return {"bs_count.json": {
         "a": args.a,
         "ell_max": args.ell_max,
         "threshold_eps": rep.threshold_eps,
         "channel_counts": rep.channel_counts,
         "total_with_multiplicity": rep.total_with_multiplicity,
         "top_eigenvalues": rep.top_eigenvalues,
-    })
-    _write_manifest(_out_dir(args), "bs-count", args)
-    return 0
+    }}
 
 
 def _gap_report_payload(report):
@@ -136,9 +132,7 @@ def cmd_gap_scan(args):
     g = make_grid(args.r_max, args.n)
     profile = nls_ground_state(args.sigma, args.alpha, args.d, g)
     report = gap_scan(assemble_linearized_pair(profile, tuple(args.ells)))
-    _write_json(_out_dir(args) / "gap_scan.json", _gap_report_payload(report))
-    _write_manifest(_out_dir(args), "gap-scan", args)
-    return 0
+    return {"gap_scan.json": _gap_report_payload(report)}
 
 
 def cmd_sigma_star(args):
@@ -146,27 +140,24 @@ def cmd_sigma_star(args):
                           r_max_over_alpha=args.r_max * args.alpha,
                           n=args.n, ells=tuple(args.ells))
     value = sigma_star((args.lo, args.hi), args.tol, cfg)
-    _write_json(_out_dir(args) / "sigma_star.json", {
+    return {"sigma_star.json": {
         "bracket": [args.lo, args.hi],
         "tol": args.tol,
         "sigma_star": value,
         "grid": {"r_max": args.r_max, "n": args.n},
-    })
-    _write_manifest(_out_dir(args), "sigma-star", args)
-    return 0
+    }}
 
 
 def cmd_nls_ground(args):
     g = make_grid(args.r_max, args.n)
     p = nls_ground_state(args.sigma, args.alpha, args.d, g)
-    out = _out_dir(args)
-    _write_json(out / "nls_ground.json", {
-        "sigma": p.sigma, "alpha": p.alpha, "d": p.d,
-        "center_value": p.center_value, "decay_rate": p.decay_rate,
-    })
-    _write_csv(out / "profile.csv", ["r", "phi"], [g.nodes, p.samples])
-    _write_manifest(out, "nls-ground", args)
-    return 0
+    return {
+        "nls_ground.json": {
+            "sigma": p.sigma, "alpha": p.alpha, "d": p.d,
+            "center_value": p.center_value, "decay_rate": p.decay_rate,
+        },
+        "profile.csv": (["r", "phi"], [g.nodes, p.samples]),
+    }
 
 
 def cmd_weinstein(args):
@@ -184,9 +175,7 @@ def cmd_weinstein(args):
         g_c = make_grid(args.r_max, min(args.n, 1600))
         p_c = nls_ground_state(args.sigma, args.alpha, args.d, g_c)
         payload["mu0"] = mu0(assemble_linearized_pair(p_c, (0,)))
-    _write_json(_out_dir(args) / "weinstein.json", payload)
-    _write_manifest(_out_dir(args), "weinstein", args)
-    return 0
+    return {"weinstein.json": payload}
 
 
 def cmd_jn_demo(args):
@@ -202,14 +191,12 @@ def cmd_jn_demo(args):
     res = jensen_nenciu_invert(fam, args.z)
     direct = np.linalg.inv(fam.A(args.z))
     err = float(np.abs(res["A_inv"] - direct).max() / np.abs(direct).max())
-    _write_json(_out_dir(args) / "jn_demo.json", {
+    return {"jn_demo.json": {
         "dim": dim, "rank": rank, "z": args.z, "seed": args.seed,
         "relative_error_vs_direct": err,
         "uniform_bound_check": float(np.abs(
             fam.S - fam.S @ np.linalg.inv(fam.A0 + fam.S) @ fam.S).max()),
-    })
-    _write_manifest(_out_dir(args), "jn-demo", args)
-    return 0
+    }}
 
 
 def cmd_laurent(args):
@@ -224,7 +211,7 @@ def cmd_laurent(args):
                               for y in xs] for x in xs])
     rhos = np.geomspace(args.rho_min, args.rho_max, args.samples)
     co = laurent_fit(sampler, 1j * rhos)
-    _write_json(_out_dir(args) / "laurent.json", {
+    return {"laurent.json": {
         "free_d": args.free_d,
         "c_minus2_max": float(np.abs(co.c_minus2).max()),
         "c_minus1_max": float(np.abs(co.c_minus1).max()),
@@ -233,9 +220,7 @@ def cmd_laurent(args):
         "fit_residual": co.fit_residual,
         "note": "entrywise matrix fit on z = i rho; weighted-space topology "
                 "replaced by the fixed discretization",
-    })
-    _write_manifest(_out_dir(args), "laurent", args)
-    return 0
+    }}
 
 
 def cmd_classify_mode(args):
@@ -249,9 +234,7 @@ def cmd_classify_mode(args):
         ell = 1
     res = classify_zero_mode(av["potential"], f, g, ell=ell)
     res.update({"mode": args.mode, "ell": ell, "a": args.a})
-    _write_json(_out_dir(args) / "classify_mode.json", res)
-    _write_manifest(_out_dir(args), "classify-mode", args)
-    return 0
+    return {"classify_mode.json": res}
 
 
 def cmd_evolve(args):
@@ -260,26 +243,25 @@ def cmd_evolve(args):
     u0 = args.amplitude * np.exp(-r ** 2 / args.width ** 2)
     state = RadialState(g, u0, np.zeros(g.n), "perturbation")
     traj = evolve_nlw(state, args.t_final)
-    out = _out_dir(args)
-    _write_csv(out / "observables.csv",
-               ["t", "sup_norm", "local_energy", "n_plus", "energy"],
-               [traj.times, traj.sup_norms, traj.local_energy,
-                traj.n_plus_series, traj.energy_series])
-    if args.snapshots:
-        for t_want in args.snapshots:
-            j = int(np.argmin(np.abs(traj.times - t_want)))
-            s = traj.snapshots[j]
-            _write_csv(out / f"snapshot_t{traj.times[j]:g}.csv",
-                       ["r", "u", "ut"],
-                       [r, s.u - traj.background / r, s.ut])
-    _write_json(out / "evolve.json", {
-        "outcome": traj.outcome,
-        "blowup_time": None if np.isnan(traj.blowup_time) else traj.blowup_time,
-        "exit_time": None if np.isnan(traj.exit_time) else traj.exit_time,
-        "dt": traj.dt,
-    })
-    _write_manifest(out, "evolve", args)
-    return 0 if traj.outcome != "undecided" else 4
+    files = {
+        "observables.csv": (
+            ["t", "sup_norm", "local_energy", "n_plus", "energy"],
+            [traj.times, traj.sup_norms, traj.local_energy,
+             traj.n_plus_series, traj.energy_series]),
+        "evolve.json": {
+            "outcome": traj.outcome,
+            "blowup_time": (None if np.isnan(traj.blowup_time)
+                            else traj.blowup_time),
+            "exit_time": None if np.isnan(traj.exit_time) else traj.exit_time,
+            "dt": traj.dt,
+        },
+    }
+    for t_want in args.snapshots:
+        j = int(np.argmin(np.abs(traj.times - t_want)))
+        s = traj.snapshots[j]
+        files[f"snapshot_t{traj.times[j]:g}.csv"] = (
+            ["r", "u", "ut"], [r, s.u - traj.background / r, s.ut])
+    return files, 0 if traj.outcome != "undecided" else 4
 
 
 def cmd_stable_h(args):
@@ -289,22 +271,21 @@ def cmd_stable_h(args):
     res = find_stable_h(f1, np.zeros(g.n), g, bracket_width=args.bracket_width,
                         tol=args.tol, t_horizon=args.t_final)
     traj = res.trajectory
-    out = _out_dir(args)
-    _write_json(out / "stable_h.json", {
-        "eps": args.eps,
-        "h_star": res.h_star,
-        "bracket_final": list(res.bracket_final),
-        "below_outcome": res.below_outcome,
-        "above_outcome": res.above_outcome,
-        "decay_fit": res.decay_fit,
-        "decay_window": list(res.decay_window),
-        "n_runs": res.n_runs,
-    })
-    _write_csv(out / "centrist_observables.csv",
-               ["t", "sup_norm", "n_plus"],
-               [traj.times, traj.sup_norms, traj.n_plus_series])
-    _write_manifest(out, "stable-h", args)
-    return 0
+    return {
+        "stable_h.json": {
+            "eps": args.eps,
+            "h_star": res.h_star,
+            "bracket_final": list(res.bracket_final),
+            "below_outcome": res.below_outcome,
+            "above_outcome": res.above_outcome,
+            "decay_fit": res.decay_fit,
+            "decay_window": list(res.decay_window),
+            "n_runs": res.n_runs,
+        },
+        "centrist_observables.csv": (
+            ["t", "sup_norm", "n_plus"],
+            [traj.times, traj.sup_norms, traj.n_plus_series]),
+    }
 
 
 def cmd_sine_split(args):
@@ -314,12 +295,9 @@ def cmd_sine_split(args):
     f = np.exp(-g.nodes ** 2 / 2.0)
     times = np.arange(args.t0, args.r_max / 2.0 + 1e-9, args.dt_out)
     res = sine_split(op, av["dphi_da"], f, times)
-    out = _out_dir(args)
-    _write_csv(out / "sine_split.csv",
-               ["t", "rank_one_coeff", "remainder_sup"],
-               [res["times"], res["rank_one_coeff"], res["remainder_sup"]])
-    _write_manifest(out, "sine-split", args)
-    return 0
+    return {"sine_split.csv": (
+        ["t", "rank_one_coeff", "remainder_sup"],
+        [res["times"], res["rank_one_coeff"], res["remainder_sup"]])}
 
 
 def cmd_mode_ode(args):
@@ -330,127 +308,122 @@ def cmd_mode_ode(args):
     F = 1.0 / (1.0 + ts ** 2)
     n0 = stability_initial_condition(ts, F, k)
     series = evolve_unstable_mode(ts, F, k, n0)
-    out = _out_dir(args)
-    _write_csv(out / "mode_ode.csv", ["t", "n_plus", "envelope"],
-               [ts, series, 1.0 / (1.0 + ts ** 2)])
-    _write_json(out / "mode_ode.json", {
-        "k": k, "n_plus_0": n0, "horizon": T,
-        "max_ratio_to_envelope": float(np.max(np.abs(series) * (1 + ts ** 2))),
-    })
-    _write_manifest(out, "mode-ode", args)
-    return 0
+    return {
+        "mode_ode.csv": (["t", "n_plus", "envelope"],
+                         [ts, series, 1.0 / (1.0 + ts ** 2)]),
+        "mode_ode.json": {
+            "k": k, "n_plus_0": n0, "horizon": T,
+            "max_ratio_to_envelope": float(
+                np.max(np.abs(series) * (1 + ts ** 2))),
+        },
+    }
 
 
-def _add_grid_args(p, r_max=50.0, n=4000):
-    p.add_argument("--r-max", type=float, default=r_max)
-    p.add_argument("--n", type=int, default=n)
-    p.add_argument("--out-dir", type=str, default=None,
-                   help="output directory (default: SOLITONLAB_OUT_DIR or .)")
-    p.add_argument("--config", type=str, default=None,
-                   help="flat key=value file; command-line flags override")
-
-
-def build_parser():
+def build_parser(exit_on_error=True):
+    """The solitonlab parser; with exit_on_error=False a value a flag
+    rejects raises argparse.ArgumentError instead of exiting."""
     ap = argparse.ArgumentParser(prog="solitonlab",
-                                 description=__doc__.split("\n")[0])
+                                 description=__doc__.split("\n")[0],
+                                 exit_on_error=exit_on_error)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="negative spectrum and zero-energy diagnosis")
-    _add_grid_args(p)
+    def command(name, func, help, grid=None):
+        """Subparser with --out-dir and --config, plus --r-max and --n with
+        the defaults grid = (r_max, n) for a command that builds a grid."""
+        p = sub.add_parser(name, help=help, exit_on_error=exit_on_error)
+        if grid:
+            p.add_argument("--r-max", type=float, default=grid[0])
+            p.add_argument("--n", type=int, default=grid[1])
+        p.add_argument("--out-dir", type=str, default=None,
+                       help="output directory (default: SOLITONLAB_OUT_DIR or .)")
+        p.add_argument("--config", type=str, default=None,
+                       help="flat key=value file; command-line flags override")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("spectrum", cmd_spectrum,
+                "negative spectrum and zero-energy diagnosis", (50.0, 4000))
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--ell", type=int, default=0)
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("bs-count", help="Birman-Schwinger channel counts")
-    _add_grid_args(p, r_max=60.0, n=1500)
+    p = command("bs-count", cmd_bs_count, "Birman-Schwinger channel counts",
+                (60.0, 1500))
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--ell-max", type=int, default=3)
     p.add_argument("--eps", type=float, default=1e-3)
-    p.set_defaults(func=cmd_bs_count)
 
-    p = sub.add_parser("gap-scan", help="spectral gap of the linearized pair")
-    _add_grid_args(p, r_max=40.0, n=3000)
+    p = command("gap-scan", cmd_gap_scan,
+                "spectral gap of the linearized pair", (40.0, 3000))
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--ells", type=int, nargs="+", default=[0, 1])
-    p.set_defaults(func=cmd_gap_scan)
 
-    p = sub.add_parser("sigma-star", help="bisect the gap-breakdown exponent")
-    _add_grid_args(p, r_max=40.0, n=3000)
+    p = command("sigma-star", cmd_sigma_star,
+                "bisect the gap-breakdown exponent", (40.0, 3000))
     p.add_argument("--lo", type=float, default=0.8)
     p.add_argument("--hi", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--ells", type=int, nargs="+", default=[0, 1])
-    p.set_defaults(func=cmd_sigma_star)
 
-    p = sub.add_parser("nls-ground", help="shoot an NLS ground state")
-    _add_grid_args(p, r_max=40.0, n=3000)
+    p = command("nls-ground", cmd_nls_ground, "shoot an NLS ground state",
+                (40.0, 3000))
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--d", type=int, default=3)
-    p.set_defaults(func=cmd_nls_ground)
 
-    p = sub.add_parser("weinstein", help="h(mu), mu0, and the instability criterion")
-    _add_grid_args(p, r_max=40.0, n=6000)
+    p = command("weinstein", cmd_weinstein,
+                "h(mu), mu0, and the instability criterion", (40.0, 6000))
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--mu", type=float, default=0.0)
-    p.set_defaults(func=cmd_weinstein)
 
-    p = sub.add_parser("jn-demo", help="Jensen-Nenciu inversion on a random family")
-    _add_grid_args(p)
+    p = command("jn-demo", cmd_jn_demo,
+                "Jensen-Nenciu inversion on a random family")
     p.add_argument("--dim", type=int, default=40)
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--z", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_jn_demo)
 
-    p = sub.add_parser("laurent", help="Laurent fit of a free resolvent kernel")
-    _add_grid_args(p)
+    p = command("laurent", cmd_laurent,
+                "Laurent fit of a free resolvent kernel")
     p.add_argument("--free-d", type=int, choices=(1, 3), default=1)
     p.add_argument("--points", type=int, default=12)
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--rho-min", type=float, default=1e-5)
     p.add_argument("--rho-max", type=float, default=1e-4)
-    p.set_defaults(func=cmd_laurent)
 
-    p = sub.add_parser("classify-mode", help="resonance/eigenvalue zero-mode split")
-    _add_grid_args(p, r_max=60.0, n=4000)
+    p = command("classify-mode", cmd_classify_mode,
+                "resonance/eigenvalue zero-mode split", (60.0, 4000))
     p.add_argument("--a", type=float, default=1.0)
     p.add_argument("--mode", choices=("dilation", "translation"),
                    default="dilation")
-    p.set_defaults(func=cmd_classify_mode)
 
-    p = sub.add_parser("evolve", help="radial wave evolution of a bump perturbation")
-    _add_grid_args(p, r_max=40.0, n=4000)
+    p = command("evolve", cmd_evolve,
+                "radial wave evolution of a bump perturbation", (40.0, 4000))
     p.add_argument("--amplitude", type=float, default=0.02)
     p.add_argument("--width", type=float, default=1.0)
     p.add_argument("--t-final", type=float, default=25.0)
     p.add_argument("--snapshots", type=float, nargs="*", default=[])
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("stable-h", help="stable-manifold bisection experiment")
-    _add_grid_args(p, r_max=40.0, n=4000)
+    p = command("stable-h", cmd_stable_h,
+                "stable-manifold bisection experiment", (40.0, 4000))
     p.add_argument("--eps", type=float, default=0.02)
     p.add_argument("--bracket-width", type=float, default=0.05)
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--t-final", type=float, default=35.0)
-    p.set_defaults(func=cmd_stable_h)
 
-    p = sub.add_parser("sine-split", help="resonance rank-one term of the sine evolution")
-    _add_grid_args(p, r_max=60.0, n=4000)
+    p = command("sine-split", cmd_sine_split,
+                "resonance rank-one term of the sine evolution", (60.0, 4000))
     p.add_argument("--t0", type=float, default=2.0)
     p.add_argument("--dt-out", type=float, default=1.0)
-    p.set_defaults(func=cmd_sine_split)
 
-    p = sub.add_parser("mode-ode", help="stability-condition dichotomy for n_plus")
-    _add_grid_args(p, r_max=40.0, n=3000)
+    p = command("mode-ode", cmd_mode_ode,
+                "stability-condition dichotomy for n_plus", (40.0, 3000))
     p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=cmd_mode_ode)
 
     return ap
 
@@ -459,64 +432,46 @@ def build_parser():
 _RESERVED_KEYS = ("func", "command", "config")
 
 
-def _apply_config_file(args, argv):
-    """Fill flags not given on the command line from the --config file.
+def _parse_with_config(args, argv):
+    """Parse argv again with the --config file's lines as flags.
 
-    Raises ValueError naming the key for a reserved or unknown key and for
-    a value that does not parse as the flag's type.
+    Each line key = v1 v2 becomes --key v1 v2, placed before the command
+    line's flags, so argparse checks it like the flag and keeps the last
+    value: any explicit flag, abbreviated or not, wins.  Raises ValueError
+    naming the key for a reserved or unknown key and for a value the flag
+    rejects.
     """
-    if getattr(args, "config", None):
-        text = Path(args.config).read_text()
-        file_vals = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            file_vals[key.strip().replace("-", "_")] = val.strip()
-        argv_keys = {a.lstrip("-").replace("-", "_").split("=")[0]
-                     for a in argv[1:] if a.startswith("--")}
-        for key, val in file_vals.items():
-            if key in _RESERVED_KEYS:
-                raise ValueError(f"config key {key!r} is reserved")
-            if not hasattr(args, key):
-                raise ValueError(f"unknown config key {key!r} for {args.command}")
-            if key in argv_keys:
-                continue
-            cur = getattr(args, key)
-            try:
-                if isinstance(cur, bool):
-                    setattr(args, key, val.lower() in ("1", "true", "yes"))
-                elif isinstance(cur, int):
-                    setattr(args, key, int(val))
-                elif isinstance(cur, float):
-                    setattr(args, key, float(val))
-                elif isinstance(cur, list):
-                    setattr(args, key, [type(cur[0])(x) if cur else float(x)
-                                        for x in val.split()])
-                else:
-                    setattr(args, key, val)
-            except ValueError:
-                raise ValueError(
-                    f"config key {key!r}: cannot read {val!r}") from None
-    return args
+    flags = []
+    for line in Path(args.config).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, val = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key in _RESERVED_KEYS:
+            raise ValueError(f"config key {key!r} is reserved")
+        if not hasattr(args, key):
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
+        flags += ["--" + key.replace("_", "-"), *val.split()]
+    i = argv.index(args.command) + 1
+    try:
+        return build_parser(exit_on_error=False).parse_args(
+            argv[:i] + flags + argv[i:])
+    except argparse.ArgumentError as e:
+        key = e.argument_name.lstrip("-").replace("-", "_")
+        raise ValueError(f"config key {key!r}: {e.message}") from None
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = _parse_with_config(args, argv)
+        return _run(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        args = _apply_config_file(args, argv)
-    except (ValueError, OSError) as e:
-        print(f"invalid configuration: {e}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args)
     except BracketError as e:
         print(f"bracket failure: {e}", file=sys.stderr)
         return 4

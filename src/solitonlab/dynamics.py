@@ -8,7 +8,7 @@ by the r_max >= support + t_final precondition).  Perturbation-frame
 evolution advances the deviation from a static background profile with the
 background's quintic term cancelled analytically, so the background is an
 exact fixed point and regions the perturbation has not reached stay
-identically zero.  The default background is the Newton-polished discrete
+identically zero.  The background is the Newton-polished discrete
 static solution (the grid's own soliton); raw samples of the closed form
 differ from it by O(h^2), which the exponential instability amplifies by
 e^{kt} if used directly.
@@ -169,7 +169,6 @@ class EvolveConfig:
     stationary_tol: float = 0.01
     local_radius: float = 5.0
     background_a: float = 1.0
-    use_discrete_background: bool = True
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,6 @@ class Trajectory:
     exit_time: float = math.nan
     dt: float = 0.0
     background: np.ndarray = field(default=None, repr=False)
-
-
-def _background_for(grid, config):
-    if config.use_discrete_background:
-        return static_background(grid, config.background_a)
-    return grid.nodes * aubin_phi(grid.nodes, config.background_a)
 
 
 def discrete_energy(grid: RadialGrid, w: np.ndarray, wdot: np.ndarray) -> float:
@@ -275,7 +268,7 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
     h = grid.h
     n = grid.n
     dt, n_steps, stride = _time_grid(grid, t_final, dt, config)
-    w_bg = _background_for(grid, config)
+    w_bg = static_background(grid, config.background_a)
     mode = unstable_mode(grid, config.background_a)
 
     if initial.frame == "full":
@@ -291,8 +284,6 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
 
     w_snap = np.zeros((n_snap, n))
     v_snap = np.zeros((n_snap, n))
-    w_final = np.empty(n)
-    v_final = np.empty(n)
 
     if mode_flag == 0:
         w_work = y0 + w_bg
@@ -308,8 +299,7 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
 
     n_got, stop_step, reason = leapfrog(
         w_work, v0.copy(), 1.0 / r, inv_r4, w_bg, 1.0 / h ** 2, dt,
-        n_steps, stride, mode_flag, psi_cap, w_snap, v_snap,
-        w_final, v_final, *exit_args)
+        n_steps, stride, mode_flag, psi_cap, w_snap, v_snap, *exit_args)
     return _Run(grid, w_bg, mode, mode_flag, dt, stride, w_snap[:n_got],
                 v_snap[:n_got], stop_step, reason)
 

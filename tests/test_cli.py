@@ -166,19 +166,42 @@ def test_console_entrypoint_help():
     assert "sigma-star" in proc.stdout
 
 
-@pytest.mark.parametrize("line, key", [
-    pytest.param("n = 5oo", "'n'", id="malformed-value"),
-    pytest.param("func = x", "'func'", id="reserved-func"),
-    pytest.param("command = bs-count", "'command'", id="reserved-command"),
-    pytest.param("config = other.cfg", "'config'", id="reserved-config"),
-    pytest.param("n-max = 40", "'n_max'", id="unknown-key"),
+@pytest.mark.parametrize("command, line, key", [
+    pytest.param(["spectrum"], "n = 5oo", "'n'", id="malformed-value"),
+    pytest.param(["spectrum"], "func = x", "'func'", id="reserved-func"),
+    pytest.param(["spectrum"], "command = bs-count", "'command'",
+                 id="reserved-command"),
+    pytest.param(["spectrum"], "config = other.cfg", "'config'",
+                 id="reserved-config"),
+    pytest.param(["spectrum"], "n-max = 40", "'n_max'", id="unknown-key"),
+    pytest.param(["laurent"], "free_d = 2", "'free_d'", id="bad-choice-int"),
+    pytest.param(["classify-mode"], "mode = dilaton", "'mode'",
+                 id="bad-choice-str"),
+    pytest.param(["gap-scan", "--sigma", "0.85"], "ells =", "'ells'",
+                 id="empty-list"),
 ])
-def test_config_file_errors_exit_2(tmp_path, capsys, line, key):
+def test_config_file_errors_exit_2(tmp_path, capsys, command, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    rc, out = run_cli(["spectrum", "--config", str(cfg)], tmp_path, "badcfg")
+    rc, out = run_cli(command + ["--config", str(cfg)], tmp_path, "badcfg")
     assert rc == 2
     assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_loses_to_abbreviated_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rho_max = 3e-4\n")
+    rc, out = run_cli(["laurent", "--rho-ma", "2e-4", "--config", str(cfg)],
+                      tmp_path, "abbrev")
+    assert rc == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config"]["rho_max"] == 2e-4
+
+
+def test_grid_flags_only_where_a_grid_is_built(tmp_path):
+    rc, out = run_cli(["jn-demo", "--n", "10"], tmp_path, "jn_grid")
+    assert rc == 2
     assert not out.exists()
 
 

@@ -172,9 +172,7 @@ def cmd_weinstein(args):
     }
     if args.mu == 0.0:
         payload["h_scaling_route"] = weinstein_h_from_scaling(pair)
-        g_c = make_grid(args.r_max, min(args.n, 1600))
-        p_c = nls_ground_state(args.sigma, args.alpha, args.d, g_c)
-        payload["mu0"] = mu0(assemble_linearized_pair(p_c, (0,)))
+        payload["mu0"] = mu0(pair)
     return {"weinstein.json": payload}
 
 
@@ -429,20 +427,22 @@ def build_parser(exit_on_error=True):
 
 
 # parser bookkeeping that a config file may not set
-_RESERVED_KEYS = ("func", "command", "config")
+_RESERVED_KEYS = ("func", "command", "config", "help")
 
 
-def _parse_with_config(args, argv):
-    """Parse argv again with the --config file's lines as flags.
+def _config_flags(argv):
+    """The --config file's lines as flags, with their keys.
 
-    Each line key = v1 v2 becomes --key v1 v2, placed before the command
-    line's flags, so argparse checks it like the flag and keeps the last
-    value: any explicit flag, abbreviated or not, wins.  Raises ValueError
-    naming the key for a reserved or unknown key and for a value the flag
-    rejects.
+    A pre-parser finds --config; each line key = v1 v2 becomes --key v1 v2.
+    Raises ValueError naming a reserved key.
     """
-    flags = []
-    for line in Path(args.config).read_text().splitlines():
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    keys, flags = [], []
+    if path is None:
+        return keys, flags
+    for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -450,26 +450,41 @@ def _parse_with_config(args, argv):
         key = key.strip().replace("-", "_")
         if key in _RESERVED_KEYS:
             raise ValueError(f"config key {key!r} is reserved")
-        if not hasattr(args, key):
-            raise ValueError(f"unknown config key {key!r} for {args.command}")
+        keys.append(key)
         flags += ["--" + key.replace("_", "-"), *val.split()]
-    i = argv.index(args.command) + 1
+    return keys, flags
+
+
+def _parse_args(argv):
+    """Parse argv with the --config file's flags placed right after the
+    subcommand, so argparse checks each like the flag (type, nargs,
+    choices, required) and keeps the last value: any explicit flag,
+    abbreviated or not, wins.  Raises ValueError naming the key for an
+    unknown key and for a value the flag rejects.
+    """
+    keys, flags = _config_flags(argv)
+    ap = build_parser(exit_on_error=not keys)
+    # the top-level parser takes no valued flag, so the first word is the command
+    i = next((j for j, a in enumerate(argv) if not a.startswith("-")), 0)
     try:
-        return build_parser(exit_on_error=False).parse_args(
-            argv[:i] + flags + argv[i:])
+        args, extra = ap.parse_known_args(argv[:i + 1] + flags + argv[i + 1:])
     except argparse.ArgumentError as e:
         key = e.argument_name.lstrip("-").replace("-", "_")
-        raise ValueError(f"config key {key!r}: {e.message}") from None
+        where = f"config key {key!r}" if key in keys else f"argument {e.argument_name}"
+        raise ValueError(f"{where}: {e.message}") from None
+    for key in keys:
+        if not hasattr(args, key):
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
-        if args.config:
-            args = _parse_with_config(args, argv)
-        return _run(args)
+        return _run(_parse_args(argv))
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     except BracketError as e:

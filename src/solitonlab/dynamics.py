@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from ._kernels import leapfrog, tridiag_solve
-from .errors import BracketError, ConvergenceError
+from .errors import BracketError, ConvergenceError, NumericsError
 from .radial import RadialGrid, assemble_channel_operator, inner_3d, integrate
 from .solitons import aubin_phi, aubin_potential
 from .spectral import eigenvalue_by_index, eigenvector_at
@@ -595,7 +595,7 @@ def fit_decay(times: np.ndarray, values: np.ndarray, window) -> float:
     if mask.sum() < 3:
         raise ValueError(f"window {window} contains fewer than 3 samples")
     if np.any(values[mask] <= 0.0):
-        raise ValueError("decay fit needs positive values on the window")
+        raise NumericsError("decay fit needs positive values on the window")
     lx = np.log(times[mask])
     ly = np.log(values[mask])
     lx = lx - lx.mean()

@@ -16,10 +16,11 @@ edge; scanning sigma locates the breakdown point near 0.914.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import BracketError, SingularSolveError
-from .radial import (ChannelOperator, assemble_channel_operator, dense_matrix,
-                     inner_3d, integrate, make_grid, solve_shifted)
+from .errors import BracketError, ConvergenceError, SingularSolveError
+from .radial import (ChannelOperator, assemble_channel_operator, inner_3d,
+                     integrate, make_grid, solve_shifted)
 from .solitons import NlsGroundState, d_alpha_ground_state, nls_ground_state
 from .spectral import (count_eigenvalues_below, count_nodes, edge_diagnosis,
                        eigenvalue_by_index)
@@ -187,21 +188,36 @@ def weinstein_h_from_scaling(pair: LinearizedPair,
 def mu0(pair: LinearizedPair) -> float:
     """Smallest eigenvalue of the radial L_plus restricted to phi-orthogonal.
 
-    Deflation by explicit projection: the phi direction is projected out of
-    the dense matrix and parked at a large shift, so the smallest eigenvalue
-    of the modified matrix is the constrained infimum.
+    With q = r phi / |r phi| the constrained eigenvalues are the roots of
+    the secular function f(mu) = q^T (L_plus - mu)^(-1) q (Golub 1973;
+    Weinstein 1986).  f increases between its poles, so mu0 is its unique
+    root between the two lowest eigenvalues of L_plus, which come from
+    LAPACK bisection.  Each f is one tridiagonal solve, with derivative
+    f' = |(L_plus - mu)^(-1) q|^2; the root is found by Newton steps kept
+    inside the sign bracket, bisecting when a step leaves it.
     """
     op = pair.L_plus[0]
-    g = pair.profile.grid
-    q = g.nodes * pair.profile.samples
+    q = pair.profile.grid.nodes * pair.profile.samples
     q = q / np.linalg.norm(q)
-    A = dense_matrix(op)
-    Aq = A @ q
-    # P A P + shift q q^T, assembled without forming P explicitly
-    A -= np.outer(q, Aq) + np.outer(Aq, q)
-    A += (q @ Aq + 10.0 * pair.alpha_sq) * np.outer(q, q)
-    vals = np.linalg.eigvalsh(A)
-    return float(vals[0])
+    lo, hi = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
+                              select="i", select_range=(0, 1), tol=1e-300)
+    mu = 0.5 * (lo + hi)
+    for _ in range(100):
+        x = solve_shifted(op, mu, q)
+        f = float(q @ x)
+        if f == 0.0:
+            return float(mu)
+        if f < 0.0:
+            lo = mu
+        else:
+            hi = mu
+        step = mu - f / float(x @ x)
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if abs(step - mu) <= 4.0 * np.spacing(abs(mu) + 1.0):
+            return float(step)
+        mu = step
+    raise ConvergenceError("mu0 secular iteration did not converge")
 
 
 def instability_criterion(sigma: float, d: int) -> dict:
@@ -210,16 +226,3 @@ def instability_criterion(sigma: float, d: int) -> dict:
         raise ValueError(f"sigma must be positive, got {sigma}")
     exponent = 2.0 / sigma - d
     return {"unstable": exponent < 0.0, "mass_scaling_exponent": exponent}
-
-
-def symmetrized_quadratic_form(pair: LinearizedPair) -> np.ndarray:
-    """sqrt(L_minus) L_plus sqrt(L_minus) on the radial channel (dense).
-
-    The square root uses the positive part of L_minus's eigendecomposition;
-    only sign information of the resulting spectrum is consumed by callers.
-    """
-    lm = dense_matrix(pair.L_minus[0])
-    lp = dense_matrix(pair.L_plus[0])
-    vals, vecs = np.linalg.eigh(lm)
-    root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T)
-    return root @ lp @ root

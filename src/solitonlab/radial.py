@@ -133,15 +133,6 @@ def inner_3d(grid: RadialGrid, f: np.ndarray, g: np.ndarray) -> float:
     return 4.0 * np.pi * integrate(grid, f * g * grid.nodes ** 2)
 
 
-def dense_matrix(op: ChannelOperator) -> np.ndarray:
-    """Dense n x n matrix of the operator (for small-n oracles and solves)."""
-    a = np.diag(op.diagonal)
-    idx = np.arange(op.grid.n - 1)
-    a[idx, idx + 1] = op.off_diagonal
-    a[idx + 1, idx] = op.off_diagonal
-    return a
-
-
 def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of log|y| against log x (tail exponent fits)."""
     x = np.asarray(x, dtype=float)

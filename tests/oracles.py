@@ -4,6 +4,8 @@ These deliberately avoid the package's own integrators: the ground-state
 oracle uses a midpoint (RK2) stepper with its own bisection logic, and the
 quadrature oracles go through scipy.integrate.quad.  The leapfrog reference
 is the straightforward numpy stepper the buffered one must match bit for bit.
+The dense-matrix oracles (operator matrix, constrained infimum mu0, the
+symmetrized quadratic form) are O(n^3) and meant for small n.
 """
 
 import numpy as np
@@ -121,3 +123,42 @@ def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
             return snap, n_steps, 0
         a, b, c = b, c, a
         step += 1
+
+
+def dense_matrix(op):
+    """Dense n x n matrix of a ChannelOperator."""
+    a = np.diag(op.diagonal)
+    idx = np.arange(op.grid.n - 1)
+    a[idx, idx + 1] = op.off_diagonal
+    a[idx + 1, idx] = op.off_diagonal
+    return a
+
+
+def dense_mu0(pair):
+    """Smallest eigenvalue of the radial L_plus restricted to phi-orthogonal.
+
+    Deflation by explicit projection: the phi direction is projected out of
+    the dense matrix and parked at a large shift, so the smallest eigenvalue
+    of the modified matrix is the constrained infimum.
+    """
+    q = pair.profile.grid.nodes * pair.profile.samples
+    q = q / np.linalg.norm(q)
+    A = dense_matrix(pair.L_plus[0])
+    Aq = A @ q
+    # P A P + shift q q^T, assembled without forming P explicitly
+    A -= np.outer(q, Aq) + np.outer(Aq, q)
+    A += (q @ Aq + 10.0 * pair.alpha_sq) * np.outer(q, q)
+    return float(np.linalg.eigvalsh(A)[0])
+
+
+def symmetrized_quadratic_form(pair):
+    """sqrt(L_minus) L_plus sqrt(L_minus) on the radial channel (dense).
+
+    The square root uses the positive part of L_minus's eigendecomposition;
+    only sign information of the resulting spectrum is consumed by callers.
+    """
+    lm = dense_matrix(pair.L_minus[0])
+    lp = dense_matrix(pair.L_plus[0])
+    vals, vecs = np.linalg.eigh(lm)
+    root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T)
+    return root @ lp @ root

@@ -173,6 +173,8 @@ def test_console_entrypoint_help():
                  id="reserved-command"),
     pytest.param(["spectrum"], "config = other.cfg", "'config'",
                  id="reserved-config"),
+    pytest.param(["spectrum"], "help = x", "'help'", id="reserved-help"),
+    pytest.param(["spectrum"], "r = 30", "'r'", id="unknown-prefix-key"),
     pytest.param(["spectrum"], "n-max = 40", "'n_max'", id="unknown-key"),
     pytest.param(["laurent"], "free_d = 2", "'free_d'", id="bad-choice-int"),
     pytest.param(["classify-mode"], "mode = dilaton", "'mode'",
@@ -187,6 +189,26 @@ def test_config_file_errors_exit_2(tmp_path, capsys, command, line, key):
     assert rc == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_supplies_required_flag(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("sigma = 1.0\n")
+    rc, out = run_cli(["gap-scan", "--config", str(cfg)], tmp_path, "req")
+    assert rc == 0
+    data = json.loads((out / "gap_scan.json").read_text())
+    assert data["sigma"] == 1.0
+
+
+def test_required_flag_on_command_line_beats_config(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("sigma = 1.0\nn = 1200\n")
+    rc, out = run_cli(["gap-scan", "--config", str(cfg), "--sigma", "0.85"],
+                      tmp_path, "req_cli")
+    assert rc == 0
+    data = json.loads((out / "gap_scan.json").read_text())
+    assert data["sigma"] == 0.85
+    assert json.loads((out / "manifest.json").read_text())["config"]["n"] == 1200
 
 
 def test_config_file_loses_to_abbreviated_flag(tmp_path):

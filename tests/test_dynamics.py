@@ -8,7 +8,7 @@ from solitonlab.dynamics import (EvolveConfig, RadialState, _classify,
                                  mode_decompose, nonlinearity_N, sine_split,
                                  stability_initial_condition,
                                  static_background, unstable_mode)
-from solitonlab.errors import BracketError
+from solitonlab.errors import BracketError, NumericsError
 from solitonlab.radial import assemble_channel_operator, integrate, make_grid
 from solitonlab.solitons import aubin_phi, aubin_values
 
@@ -307,8 +307,16 @@ def test_fit_decay_power_laws():
     ts = np.linspace(1.0, 40.0, 400)
     assert fit_decay(ts, 7.0 / ts, (2.0, 35.0)) == pytest.approx(-1.0, abs=1e-10)
     assert fit_decay(ts, 3.0 * ts ** -1.5, (2.0, 35.0)) == pytest.approx(-1.5, abs=1e-10)
-    with pytest.raises(ValueError):
+
+
+def test_fit_decay_error_types():
+    # a non-positive observable is a numeric failure (exit 3); a window
+    # with too few samples is a configuration error (exit 2)
+    ts = np.linspace(1.0, 40.0, 400)
+    with pytest.raises(NumericsError, match="positive values"):
         fit_decay(ts, 1.0 - ts / 20.0, (2.0, 35.0))
+    with pytest.raises(ValueError, match="fewer than 3 samples"):
+        fit_decay(ts, 1.0 / ts, (2.0, 2.1))
 
 
 def test_linear_propagate_t0_identity(dyn_grid, rng):

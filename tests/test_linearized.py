@@ -5,12 +5,13 @@ from solitonlab.errors import BracketError
 from solitonlab.linearized import (SigmaStarConfig, assemble_linearized_pair,
                                    gap_holds_at, gap_scan,
                                    instability_criterion, mu0, sigma_star,
-                                   symmetrized_quadratic_form, weinstein_h,
-                                   weinstein_h_from_scaling)
+                                   weinstein_h, weinstein_h_from_scaling)
 from solitonlab.radial import apply_operator, integrate, make_grid
 from solitonlab.solitons import d_alpha_ground_state, nls_ground_state
 from solitonlab.spectral import (count_eigenvalues_below as count_below,
                                  eigenvalue_by_index, negative_eigenpairs)
+
+from oracles import dense_mu0, symmetrized_quadratic_form
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +159,15 @@ def test_mu0_sign_matches_h0():
         p = nls_ground_state(sigma, 1.0, 3, g)
         pair = assemble_linearized_pair(p, (0,))
         assert np.sign(mu0(pair)) == -np.sign(weinstein_h(pair, 0.0))
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0 / 3.0 - 0.05, 2.0 / 3.0 + 0.05, 1.0])
+def test_mu0_matches_dense_oracle(sigma):
+    # criterion 5's sigma values and grid; the secular root against the
+    # dense deflated eigensolve
+    g = make_grid(40.0, 1200)
+    pair = assemble_linearized_pair(nls_ground_state(sigma, 1.0, 3, g), (0,))
+    assert abs(mu0(pair) - dense_mu0(pair)) <= 1e-9
 
 
 def test_instability_criterion_values():

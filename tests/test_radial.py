@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from solitonlab.radial import (apply_operator, assemble_channel_operator,
-                               dense_matrix, integrate, make_grid,
-                               solve_shifted)
+                               integrate, make_grid, solve_shifted)
 from solitonlab.solitons import aubin_dphi_da, aubin_values
 from solitonlab.spectral import count_eigenvalues_below, eigenvalue_by_index
 
-from oracles import quad_oracle
+from oracles import dense_matrix, quad_oracle
 
 
 def test_make_grid_uniform_nodes():

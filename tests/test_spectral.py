@@ -8,8 +8,8 @@ from solitonlab.solitons import aubin_dphi_da, aubin_dphi_dr, aubin_values
 from solitonlab.spectral import (_check_symmetric, birman_schwinger_count,
                                  birman_schwinger_matrix, count_nodes,
                                  count_eigenvalues_below, eigenvalue_by_index,
-                                 negative_eigenpairs, regular_solution,
-                                 zero_energy_diagnosis)
+                                 green_inverse, negative_eigenpairs,
+                                 regular_solution, zero_energy_diagnosis)
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +176,73 @@ def test_birman_schwinger_monotone_in_ell():
     assert all(tops[i + 1] < tops[i] for i in range(len(tops) - 1))
 
 
+@pytest.mark.parametrize("ell", [0, 1, 2, 3, 20])
+def test_green_inverse_matches_dense_inverse(ell):
+    # V = -1/w makes the Birman-Schwinger kernel the bare Green matrix G
+    g = make_grid(4.0, 40)
+    G = birman_schwinger_matrix(-1.0 / g.weights, ell, g)
+    diag, off = green_inverse(g.nodes, ell)
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    dense = np.linalg.inv(G)
+    assert np.abs(T - dense).max() <= 1e-10 * np.abs(dense).max()
+    assert np.abs(G @ T - np.eye(g.n)).max() <= 1e-10
+
+
+def _dense_birman_schwinger(V, ell_max, g, eps):
+    counts, tops = [], []
+    for ell in range(ell_max + 1):
+        eigs = np.linalg.eigvalsh(birman_schwinger_matrix(V, ell, g))[::-1]
+        counts.append(int(np.sum(eigs >= 1.0 - eps)))
+        tops.append(eigs[:4])
+    return counts, np.array(tops)
+
+
+def _zero_block_and_tail(g):
+    V = aubin_values(1.0, g)["potential"]
+    V[(g.nodes > 3.0) & (g.nodes < 5.0)] = 0.0
+    V[g.nodes > 12.0] = 0.0
+    return V
+
+
+def _two_nodes(g):
+    V = np.zeros(g.n)
+    V[[10, 30]] = -2.0
+    return V
+
+
+@pytest.mark.parametrize("n, ell_max, potential", [
+    pytest.param(1500, 3, lambda g: aubin_values(1.0, g)["potential"],
+                 id="aubin-n1500"),
+    pytest.param(600, 5, _zero_block_and_tail, id="zero-block-and-tail"),
+    pytest.param(200, 2, _two_nodes, id="two-node-support"),
+])
+def test_birman_schwinger_matches_dense(n, ell_max, potential):
+    g = make_grid(60.0, n)
+    V = potential(g)
+    rep = birman_schwinger_count(V, ell_max, g, 1e-3)
+    counts, tops = _dense_birman_schwinger(V, ell_max, g, 1e-3)
+    assert rep.channel_counts == counts
+    got = np.array(rep.top_eigenvalues)
+    assert np.all(np.abs(got - tops) <= 1e-10 * np.abs(tops) + 1e-14 * tops[:, :1])
+
+
+def test_birman_schwinger_tiny_potential_is_numerics_error(grid40):
+    # |V| w below float64's reach makes the inverse kernel overflow
+    V = aubin_values(1.0, grid40)["potential"]
+    V[-1] = -1e-320
+    with pytest.raises(NumericsError, match="not finite"):
+        birman_schwinger_count(V, 1, grid40)
+
+
 def test_birman_schwinger_rejects_positive_potential(grid40):
     with pytest.raises(ValueError):
         birman_schwinger_count(np.ones(grid40.n), 1, grid40)
+
+
+@pytest.mark.parametrize("eps", [-1e-3, 1.0])
+def test_birman_schwinger_rejects_threshold_outside_unit_interval(grid40, eps):
+    with pytest.raises(ValueError, match="threshold_eps"):
+        birman_schwinger_count(-np.ones(grid40.n), 1, grid40, eps)
 
 
 def test_birman_schwinger_symmetry_check(grid40):

@@ -48,11 +48,11 @@ def sturm_count(diag, off, x):
 def shoot_count(h2_diag, energy_h2):
     """Interior sign changes of the regular shooting solution of (A - E)w = 0.
 
-    ``h2_diag`` holds h^2 * diagonal over the interior rows (the pinned
-    truncation row is excluded by the caller).  The three-term recurrence
+    ``h2_diag`` holds h^2 * diagonal.  The three-term recurrence
     w[j+1] = (h2_diag[j] - h^2 E) w[j] - w[j-1] starts from the Dirichlet
-    phantom w(-1) = 0, w[0] = 1; the sign-change count equals the number of
-    Dirichlet eigenvalues below E (discrete oscillation theorem).
+    phantom w(-1) = 0, w[0] = 1 and stops at w[m-1] (the last entry is not
+    read); its sign changes count the eigenvalues below E of the leading
+    (m-1) x (m-1) block (discrete oscillation theorem).
     """
     m = h2_diag.shape[0]
     h2_diag, energy_h2 = h2_diag.tolist(), float(energy_h2)
@@ -117,25 +117,6 @@ def tridiag_solve(diag, off, rhs):
                             check_finite=False)
     except LinAlgError as exc:
         raise SingularSolveError("singular tridiagonal system") from exc
-
-
-def inverse_iteration(diag, off, shift, v0, iters):
-    """Inverse iteration toward the eigenvector of (diag, off) nearest shift.
-
-    Returns the last finite iterate as a unit vector; a zero seed v0 is
-    replaced by a constant vector.
-    """
-    nrm = np.linalg.norm(v0)
-    n = v0.shape[0]
-    v = v0 / nrm if nrm > 0.0 else np.full(n, 1.0 / np.sqrt(n))
-    shifted = diag - shift
-    for _ in range(iters):
-        work = tridiag_solve(shifted, off, v)
-        nrm = np.linalg.norm(work)
-        if not np.isfinite(nrm) or nrm == 0.0:
-            break
-        v = work / nrm
-    return v
 
 
 def rk4_shoot(b, alpha2, sigma, dim, h, n, phi_out):

@@ -460,7 +460,8 @@ def _parse_args(argv):
     subcommand, so argparse checks each like the flag (type, nargs,
     choices, required) and keeps the last value: any explicit flag,
     abbreviated or not, wins.  Raises ValueError naming the key for an
-    unknown key and for a value the flag rejects.
+    unknown key and for a value the flag rejects, or naming the argument
+    when the rejected value is the command line's.
     """
     keys, flags = _config_flags(argv)
     ap = build_parser(exit_on_error=not keys)
@@ -470,7 +471,15 @@ def _parse_args(argv):
         args, extra = ap.parse_known_args(argv[:i + 1] + flags + argv[i + 1:])
     except argparse.ArgumentError as e:
         key = e.argument_name.lstrip("-").replace("-", "_")
-        where = f"config key {key!r}" if key in keys else f"argument {e.argument_name}"
+        where = f"argument {e.argument_name}"
+        if key in keys:
+            # the file's flags are parsed first; parse them alone, ended by a
+            # bare --config that always fails, to see which occurrence failed
+            try:
+                ap.parse_known_args(argv[:i + 1] + flags + ["--config"])
+            except argparse.ArgumentError as file_error:
+                if file_error.argument_name == e.argument_name:
+                    where = f"config key {key!r}"
         raise ValueError(f"{where}: {e.message}") from None
     for key in keys:
         if not hasattr(args, key):

@@ -24,9 +24,10 @@ from scipy.linalg import eigh_tridiagonal
 
 from ._kernels import leapfrog, tridiag_solve
 from .errors import BracketError, ConvergenceError, NumericsError
-from .radial import RadialGrid, assemble_channel_operator, inner_3d, integrate
+from .radial import (RadialGrid, assemble_channel_operator, fit_loglog_slope,
+                     inner_3d, integrate)
 from .solitons import aubin_phi, aubin_potential
-from .spectral import eigenvalue_by_index, eigenvector_at
+from .spectral import negative_eigenpairs
 
 _BACKGROUND_CACHE = {}
 _MODE_CACHE = {}
@@ -100,12 +101,10 @@ def unstable_mode(grid: RadialGrid, a: float = 1.0) -> UnstableMode:
     if key in _MODE_CACHE:
         return _MODE_CACHE[key]
     op = assemble_channel_operator(grid, 0, aubin_potential(grid.nodes, a))
-    e = eigenvalue_by_index(op, 0)
-    if not e < 0.0:
+    pairs = negative_eigenpairs(op)
+    if not pairs:
         raise ConvergenceError(f"no negative eigenvalue found for a = {a}")
-    w_g = eigenvector_at(op, e)
-    if w_g[np.argmax(np.abs(w_g))] < 0.0:
-        w_g = -w_g
+    e, w_g = pairs[0].energy, pairs[0].vector
     g3d = w_g / grid.nodes
     g3d = g3d / math.sqrt(4.0 * np.pi * integrate(grid, (grid.nodes * g3d) ** 2))
     g3d.setflags(write=False)
@@ -596,10 +595,7 @@ def fit_decay(times: np.ndarray, values: np.ndarray, window) -> float:
         raise ValueError(f"window {window} contains fewer than 3 samples")
     if np.any(values[mask] <= 0.0):
         raise NumericsError("decay fit needs positive values on the window")
-    lx = np.log(times[mask])
-    ly = np.log(values[mask])
-    lx = lx - lx.mean()
-    return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+    return fit_loglog_slope(times[mask], values[mask])
 
 
 def _eigendecomposition(op):

@@ -1,11 +1,12 @@
 """Half-line spectral analysis: bound states, node counts, zero-energy
 classification, and Birman-Schwinger counting.
 
-Eigenvalues of the tridiagonal channel operators are located by bisection
-on Sturm sign counts (exact counting, mirroring the oscillation-theory
-argument that underpins every spectral claim here) and eigenvectors by
-inverse iteration.  The Birman-Schwinger section counts eigenvalues near
-or above 1 of the explicit zero-energy kernel
+Bound states are counted by Sturm sign counts and by the nodes of the
+shooting solution (exact counting, mirroring the oscillation-theory
+argument that underpins every spectral claim here); eigenpairs and the
+eigenvalues in a window come from LAPACK's tridiagonal bisection and
+inverse iteration (stebz/stein).  The Birman-Schwinger section counts
+eigenvalues near or above 1 of the explicit zero-energy kernel
 min(r,s)^(l+1) max(r,s)^(-l) / (2l+1) per channel.  That kernel is a
 semiseparable (Green's) matrix whose inverse is exactly tridiagonal
 (Gantmacher-Krein), so the count is one Sturm count of the inverse and
@@ -13,13 +14,12 @@ the leading eigenvalues come from LAPACK's tridiagonal bisection; the dense
 kernel, birman_schwinger_matrix, is kept as the paper's formula.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._kernels import inverse_iteration, shoot_count, shoot_solution, sturm_count
+from ._kernels import shoot_count, shoot_solution, sturm_count
 from .errors import ConvergenceError, NumericsError, TailFitError
 from .radial import (ChannelOperator, RadialGrid, apply_operator,
                      fit_loglog_slope, integrate)
@@ -63,12 +63,13 @@ def count_eigenvalues_below(op: ChannelOperator, energy: float) -> int:
 def count_nodes(op: ChannelOperator, energy: float) -> int:
     """Interior sign changes of the regular solution of (op - E) w = 0.
 
-    Equals the number of eigenvalues below `energy` by discrete oscillation
-    theory; the shooting recurrence renormalizes on overflow, so deeply
-    negative energies are safe.
+    Equals the number of eigenvalues of the interior Dirichlet block below
+    `energy` by discrete oscillation theory, as count_eigenvalues_below; the
+    shooting recurrence renormalizes on overflow, so deeply negative
+    energies are safe.
     """
     h2 = op.h ** 2
-    return shoot_count(op.diagonal[:-1] * h2, energy * h2)
+    return shoot_count(op.diagonal * h2, energy * h2)
 
 
 def regular_solution(op: ChannelOperator, energy: float) -> np.ndarray:
@@ -101,19 +102,6 @@ def eigenvalue_by_index(op: ChannelOperator, index: int,
                               e - 1.0, e + 1.0, tol)
 
 
-def eigenvector_at(op: ChannelOperator, energy: float,
-                   iters: int = 4) -> np.ndarray:
-    """Inverse-iteration eigenvector nearest `energy`, quadrature-normalized."""
-    r = op.grid.nodes
-    seed = r * np.exp(-np.sqrt(abs(energy) + 1.0) * r)
-    v = inverse_iteration(op.diagonal, op.off_diagonal,
-                          energy + 1e-11 * (1.0 + abs(energy)), seed, iters)
-    nrm = math.sqrt(integrate(op.grid, v * v))
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise ConvergenceError("inverse iteration collapsed")
-    return v / nrm
-
-
 def _count_sign_changes(v: np.ndarray) -> int:
     s = np.sign(v[np.abs(v) > 1e-9 * np.abs(v).max()])
     return int(np.sum(s[1:] != s[:-1]))
@@ -122,15 +110,22 @@ def _count_sign_changes(v: np.ndarray) -> int:
 def negative_eigenpairs(op: ChannelOperator) -> list[EigenPair]:
     """All negative eigenvalues with vectors, validated by node count.
 
-    The ground state (node count 0) is returned positive-normalized.
+    The Sturm count below 0 fixes how many; the values and vectors come
+    from one LAPACK call (bisection to full precision, then inverse
+    iteration), and each vector is quadrature-normalized with its largest
+    entry positive, so the ground state (node count 0) is positive.
     Raises ConvergenceError if a vector's residual or node count is
     inconsistent with its Sturm index.
     """
     m = count_eigenvalues_below(op, 0.0)
+    if m == 0:
+        return []
+    evals, evecs = eigh_tridiagonal(op.diagonal, op.off_diagonal, select="i",
+                                    select_range=(0, m - 1), tol=1e-300)
     pairs = []
     for idx in range(m):
-        e = eigenvalue_by_index(op, idx)
-        v = eigenvector_at(op, e)
+        e = float(evals[idx])
+        v = evecs[:, idx] / np.sqrt(integrate(op.grid, evecs[:, idx] ** 2))
         if v[np.argmax(np.abs(v))] < 0.0:
             v = -v
         nodes = _count_sign_changes(v)
@@ -177,12 +172,10 @@ def zero_energy_diagnosis(op: ChannelOperator, window: float = 0.7,
     g = op.grid
     if band is None:
         band = min(1e-3, 0.4 * (np.pi / g.r_max) ** 2)
-    energy = 0.0
-    n_lo = count_eigenvalues_below(op, -band)
-    n_hi = count_eigenvalues_below(op, band)
-    if n_hi > n_lo:
-        energy = _bisect_eigenvalue(op.diagonal, op.off_diagonal, n_lo,
-                                    -band, band, 1e-14)
+    in_band = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
+                               select="v", select_range=(-band, band),
+                               tol=1e-300)
+    energy = float(in_band[0]) if in_band.size else 0.0
     w = regular_solution(op, energy)
     mask = g.nodes >= window * g.r_max
     r_win = g.nodes[mask]
@@ -191,7 +184,7 @@ def zero_energy_diagnosis(op: ChannelOperator, window: float = 0.7,
         raise TailFitError("zero-energy solution vanished on the fit window")
     w_win = w[mask] / scale
     basis = [lambda r: r, np.ones_like, lambda r: 1.0 / r]
-    if n_hi > n_lo and op.ell >= 1:
+    if in_band.size and op.ell >= 1:
         # a truncated eigenvector bends to zero at r_max through the
         # channel's growing branch r^(ell+1); absorb that bend so it does
         # not masquerade as linear growth
@@ -209,7 +202,7 @@ def zero_energy_diagnosis(op: ChannelOperator, window: float = 0.7,
     slope_mask = mask & (g.nodes <= 0.92 * g.r_max)
     decay_slope = fit_loglog_slope(g.nodes[slope_mask],
                                    np.abs(w[slope_mask] / scale) + 1e-300)
-    if n_hi > n_lo and decay_slope < -0.5:
+    if in_band.size and decay_slope < -0.5:
         kind = "eigenvalue"
     elif abs(c_r) < threshold and abs(c_1) > threshold:
         kind = "resonance"

@@ -159,6 +159,18 @@ def test_stable_h_json(tmp_path):
     assert (out / "centrist_observables.csv").exists()
 
 
+def test_cli_import_loads_no_scipy_subpackage_but_linalg():
+    # importing solitonlab.cli is most of a run's setup time; a stray
+    # scipy.optimize (or any other subpackage) would add about 0.25 s to it
+    code = ("import sys, solitonlab.cli; print(*sorted("
+            "n for n, m in list(sys.modules.items()) if n.count('.') == 1"
+            " and n.startswith('scipy.') and not n.startswith('scipy._')"
+            " and hasattr(m, '__path__')))")
+    proc = subprocess.run([sys.executable, "-B", "-c", code],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["scipy.linalg"]
+
+
 def test_console_entrypoint_help():
     proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", "--help"],
                           capture_output=True, text=True)
@@ -209,6 +221,20 @@ def test_required_flag_on_command_line_beats_config(tmp_path):
     data = json.loads((out / "gap_scan.json").read_text())
     assert data["sigma"] == 0.85
     assert json.loads((out / "manifest.json").read_text())["config"]["n"] == 1200
+
+
+def test_bad_command_line_value_named_as_argument(tmp_path, capsys):
+    # the file and the command line both set --n; only the command line's
+    # value is malformed, so the error names the argument, not the key
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("sigma = 1.0\nn = 1200\n")
+    rc, out = run_cli(["gap-scan", "--sigma", "0.85", "--n", "5oo",
+                       "--config", str(cfg)], tmp_path, "badcli")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "argument --n" in err
+    assert "config key" not in err
+    assert not out.exists()
 
 
 def test_config_file_loses_to_abbreviated_flag(tmp_path):

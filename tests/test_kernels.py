@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg import eigvalsh_tridiagonal
 
 from oracles import leapfrog_numpy_reference
 from solitonlab import _kernels as K
@@ -88,17 +88,6 @@ def test_tridiag_solve_singular_raises():
     with pytest.raises(SingularSolveError):
         K.tridiag_solve(np.array([1.0, 1.0, 2.0]), np.array([1.0, 0.0]),
                         np.ones(3))
-
-
-def test_inverse_iteration_parity(op):
-    # parity with LAPACK's ground-state eigenvector
-    evals, vecs = eigh_tridiagonal(op.diagonal, op.off_diagonal, select="i",
-                                   select_range=(0, 0))
-    seed = op.grid.nodes * np.exp(-op.grid.nodes)
-    v = K.inverse_iteration(op.diagonal, op.off_diagonal,
-                            evals[0] + 1e-11 * (1.0 + abs(evals[0])), seed, 3)
-    ref = vecs[:, 0] * np.sign(vecs[:, 0] @ v)
-    assert np.abs(v - ref).max() < 1e-12
 
 
 def test_rk4_shoot_parity():

@@ -11,7 +11,7 @@ from solitonlab.solitons import d_alpha_ground_state, nls_ground_state
 from solitonlab.spectral import (count_eigenvalues_below as count_below,
                                  eigenvalue_by_index, negative_eigenpairs)
 
-from oracles import dense_mu0, symmetrized_quadratic_form
+from oracles import dense_matrix, dense_mu0, symmetrized_quadratic_form
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,18 @@ def test_gap_fails_below_critical_exponent():
     assert report.eigenvalues["L_plus"][0]
     ev = report.eigenvalues["L_plus"][0][0]
     assert 0.0 < ev < report.alpha_sq
+
+
+def test_gap_scan_eigenvalue_matches_dense_eigvalsh():
+    # below sigma* the radial L_plus has one eigenvalue in the gap; the scan
+    # reports the operator's own eigenvalue
+    g = make_grid(40.0, 1200)
+    pair = assemble_linearized_pair(nls_ground_state(0.87, 1.0, 3, g), (0, 1))
+    found = gap_scan(pair).eigenvalues["L_plus"][0]
+    ev = np.linalg.eigvalsh(dense_matrix(pair.L_plus[0]))
+    ev = ev[(ev > 0.01 * pair.alpha_sq) & (ev < pair.alpha_sq)]
+    assert len(found) == len(ev) == 1
+    assert abs(found[0] - ev[0]) <= 1e-10
 
 
 def test_root_space_identities(cubic_profile, cubic_pair):

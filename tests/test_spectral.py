@@ -11,6 +11,8 @@ from solitonlab.spectral import (_check_symmetric, birman_schwinger_count,
                                  green_inverse, negative_eigenpairs,
                                  regular_solution, zero_energy_diagnosis)
 
+from oracles import dense_matrix
+
 
 @pytest.fixture(scope="module")
 def nlw_op(grid50, aubin50):
@@ -39,6 +41,22 @@ def test_nlw_unique_negative_eigenvalue(nlw_op, grid50):
     assert p.energy == pytest.approx(ev[0], rel=1e-3)
 
 
+@pytest.mark.parametrize("ell, n_bound", [(0, 3), (1, 2)])
+def test_negative_eigenpairs_match_dense_eigh(ell, n_bound):
+    # a well with several bound states, against numpy's dense eigensolver
+    # on the same matrix
+    g = make_grid(20.0, 400)
+    op = assemble_channel_operator(g, ell, -12.0 * np.exp(-g.nodes ** 2 / 4.0))
+    pairs = negative_eigenpairs(op)
+    evals, evecs = np.linalg.eigh(dense_matrix(op))
+    assert len(pairs) == np.sum(evals < 0.0) == n_bound
+    for idx, (p, e, v) in enumerate(zip(pairs, evals, evecs.T)):
+        assert p.node_count == idx
+        assert p.energy == pytest.approx(e, rel=1e-11)
+        v = v / np.sqrt(integrate(g, v * v))
+        assert np.abs(p.vector - v * np.sign(v @ p.vector)).max() < 1e-10
+
+
 def test_ground_state_decay_rate(nlw_op, grid50):
     p = negative_eigenpairs(nlw_op)[0]
     k = np.sqrt(-p.energy)
@@ -64,6 +82,11 @@ def test_count_nodes_free_laplacian():
     assert count_nodes(op, 2.5) == 1
     assert count_nodes(op, 0.5) == 0
     assert count_nodes(op, 10.0) == 3
+    # the count is over the interior block, as the Sturm count: just above
+    # its lowest eigenvalue there is one node
+    lam0 = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
+                            select="i", select_range=(0, 0))[0]
+    assert count_nodes(op, lam0 * (1.0 + 1e-6)) == 1
 
 
 def test_count_nodes_nlw_channels(grid50, aubin50):

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 invalid configuration, 3 numeric failure,
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -287,6 +288,12 @@ def cmd_stable_h(args):
 
 
 def cmd_sine_split(args):
+    if not 0.0 < args.dt_out < math.inf:
+        raise ValueError(f"--dt-out must be positive and finite, got "
+                         f"{args.dt_out}")
+    if not args.t0 <= args.r_max / 2.0:
+        raise ValueError(f"--t0 = {args.t0} is beyond the last output time "
+                         f"r_max/2 = {args.r_max / 2.0}")
     g = make_grid(args.r_max, args.n)
     av = aubin_values(1.0, g)
     op = assemble_channel_operator(g, 0, av["potential"])
@@ -299,6 +306,8 @@ def cmd_sine_split(args):
 
 
 def cmd_mode_ode(args):
+    if not 0.0 < args.dt < math.inf:
+        raise ValueError(f"--dt must be positive and finite, got {args.dt}")
     g = make_grid(args.r_max, args.n)
     k = unstable_mode(g).k
     T = 20.0 / k

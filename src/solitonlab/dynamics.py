@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._kernels import leapfrog, tridiag_solve
 from .errors import BracketError, ConvergenceError, NumericsError
@@ -31,7 +30,6 @@ from .spectral import negative_eigenpairs
 
 _BACKGROUND_CACHE = {}
 _MODE_CACHE = {}
-_EIG_CACHE = {}
 
 
 def nonlinearity_N(u, phi):
@@ -245,6 +243,8 @@ class _Run:
 
 def _time_grid(grid: RadialGrid, t_final: float, dt, config: EvolveConfig):
     """(dt, n_steps, stride) of a run; dt defaults to config.dt_factor h."""
+    if not 0.0 < t_final < math.inf:
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     h = grid.h
     if dt is None:
         dt = config.dt_factor * h
@@ -598,49 +598,137 @@ def fit_decay(times: np.ndarray, values: np.ndarray, window) -> float:
     return fit_loglog_slope(times[mask], values[mask])
 
 
-def _eigendecomposition(op):
-    key = (op.grid.r_max, op.grid.n, op.ell, hash(op.potential.tobytes()))
-    if key not in _EIG_CACHE:
-        _EIG_CACHE[key] = eigh_tridiagonal(op.diagonal, op.off_diagonal)
-    return _EIG_CACHE[key]
+# Chebyshev expansions are truncated where the coefficients fall below
+# _TAIL of the largest, or below the rounding level of the samples when that
+# is higher; a step that needs more than _MAX_TERMS samples is refused
+# rather than allocated
+_TAIL = 1e-13
+_MAX_TERMS = 1 << 20
 
 
-def _sinc_weights(lam: np.ndarray, t: float) -> np.ndarray:
-    """sin(t sqrt(lam))/sqrt(lam) with hyperbolic and small-|lam| branches."""
-    out = np.empty(lam.size)
-    pos = lam > 1e-10
-    neg = lam < -1e-10
-    mid = ~(pos | neg)
-    sp = np.sqrt(lam[pos])
-    out[pos] = np.sin(t * sp) / sp
-    sn = np.sqrt(-lam[neg])
-    out[neg] = np.sinh(t * sn) / sn
-    out[mid] = t
-    return out
+class _WaveFlow:
+    """The linear flow of u_tt = -H u on stacked (2, n) blocks [u, u_t].
 
+    Over a time dt it maps [u, v] to [u', v'] with
+    u' = cos(dt sqrt H) u + sin(dt sqrt H)/sqrt H v and
+    v' = -sqrt H sin(dt sqrt H) u + cos(dt sqrt H) v.
+    The components along the negative eigenvectors g_j of H (Euclidean
+    unit, from negative_eigenpairs) follow the hyperbolic branch in closed
+    form.  The rest is propagated under the deflated operator
+    A = H - 2 sum_j lam_j g_j g_j^T, whose spectrum lies in [0, hi]: the
+    Sturm count below 0 certifies the lower end, so rounding cannot re-seed
+    e^{kt}, and Gershgorin joined with max |lam_j| bounds the upper.  The
+    three functions are entire in lam and share one three-term Chebyshev
+    recurrence of O(n) tridiagonal matvecs (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81 (1984) 3967; Hochbruck & Lubich, SIAM J. Numer. Anal. 34
+    (1997) 1911); the expansion of each distinct dt is computed once.
+    """
 
-def _cos_weights(lam: np.ndarray, t: float) -> np.ndarray:
-    out = np.empty(lam.size)
-    pos = lam > 1e-10
-    neg = lam < -1e-10
-    mid = ~(pos | neg)
-    out[pos] = np.cos(t * np.sqrt(lam[pos]))
-    out[neg] = np.cosh(t * np.sqrt(-lam[neg]))
-    out[mid] = 1.0
-    return out
+    def __init__(self, op):
+        d, e = op.diagonal, op.off_diagonal
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise ValueError("the operator has non-finite entries")
+        pairs = negative_eigenpairs(op)
+        lam = np.array([p.energy for p in pairs])
+        self.g = np.array([p.vector / np.linalg.norm(p.vector)
+                           for p in pairs]).reshape(len(pairs), d.size)
+        self.kappa = np.sqrt(-lam)
+        gersh = d.copy()
+        gersh[:-1] += np.abs(e)
+        gersh[1:] += np.abs(e)
+        self.hi = max(float(gersh.max()), float(np.abs(lam).max(initial=0.0)))
+        # 2B for B = 2A/hi - 1, the operator whose spectrum is in [-1, 1]
+        self._d2 = 4.0 * d / self.hi - 2.0
+        self._e2 = 4.0 * e / self.hi
+        self._c2 = -8.0 * lam / self.hi
+        self._coeffs = {}
+
+    def _twice_b(self, y):
+        out = self._d2 * y
+        out[:, :-1] += self._e2 * y[:, 1:]
+        out[:, 1:] += self._e2 * y[:, :-1]
+        out += ((y @ self.g.T) * self._c2) @ self.g
+        return out
+
+    def _coefficients(self, dt):
+        """M[k] = [[c_k, s_k], [-w_k, c_k]], with c, s, w the Chebyshev
+        coefficients on [0, hi] of cos(dt sqrt lam), sin(dt sqrt lam)/sqrt lam
+        and sqrt lam sin(dt sqrt lam), from samples at first-kind nodes."""
+        if dt in self._coeffs:
+            return self._coeffs[dt]
+        root_hi = math.sqrt(self.hi)
+        n_nodes = math.ceil(abs(dt) * root_hi) + 64
+        if n_nodes > _MAX_TERMS:
+            raise NumericsError(
+                f"a step of {dt:g} needs {n_nodes} Chebyshev terms (at most "
+                f"{_MAX_TERMS}); propagate in shorter steps")
+        theta = np.pi * (np.arange(n_nodes) + 0.5) / n_nodes
+        s = root_hi * np.cos(0.5 * theta)  # sqrt(lam) at lam = hi cos^2(theta/2)
+        sin_s = np.sin(dt * s)
+        y = np.stack((np.cos(dt * s), sin_s / s, s * sin_s))
+        # DCT-II of the samples through a mirrored real FFT
+        spec = np.fft.rfft(np.concatenate((y, y[:, ::-1]), axis=1))[:, :n_nodes]
+        a = (spec * np.exp(-0.5j * np.pi * np.arange(n_nodes) / n_nodes)).real
+        a /= n_nodes
+        a[:, 0] *= 0.5
+        # the phase dt sqrt(lam) of a sample is good to about eps n_nodes
+        tail = max(_TAIL, 2.0 * np.finfo(float).eps * n_nodes)
+        big = np.abs(a) > tail * np.abs(a).max(axis=1, keepdims=True)
+        terms = int(np.flatnonzero(big.any(axis=0))[-1]) + 1
+        if terms > 3 * n_nodes // 4:
+            raise NumericsError(
+                f"Chebyshev coefficients of the step {dt:g} do not fall below "
+                f"{tail:.1e} of the largest within {n_nodes} nodes")
+        m = np.empty((terms, 2, 2))
+        m[:, 0, 0] = m[:, 1, 1] = a[0, :terms]
+        m[:, 0, 1] = a[1, :terms]
+        m[:, 1, 0] = -a[2, :terms]
+        self._coeffs[dt] = m
+        return m
+
+    def __call__(self, x, dt, negative=True):
+        """The block x (2, n) advanced by dt.  With negative=False its
+        components along the g_j are dropped before and after the step
+        (the projection onto their orthogonal complement)."""
+        k = self.kappa
+        if negative and np.any(k * abs(dt) > math.log(np.finfo(float).max)):
+            raise NumericsError(
+                f"e^(k t) overflows at k = {k.max():.4g}, t = {dt:g}")
+        m = self._coefficients(dt)
+        g = self.g
+        alpha = x @ g.T
+        prev = x - alpha @ g
+        cur = 0.5 * self._twice_b(prev)
+        out = m[0] @ prev
+        for mk in m[1:]:
+            out += mk @ cur
+            prev, cur = cur, self._twice_b(cur) - prev
+        # A keeps the complement of the g_j invariant: drop rounding leakage
+        out -= (out @ g.T) @ g
+        if negative:
+            ch, sh = np.cosh(k * dt), np.sinh(k * dt)
+            out += np.stack((ch * alpha[0] + sh / k * alpha[1],
+                             k * sh * alpha[0] + ch * alpha[1])) @ g
+        return out
 
 
 def linear_propagate(op, f: np.ndarray, g0: np.ndarray, t: float) -> np.ndarray:
     """cos(t sqrt(H)) f + [sin(t sqrt(H))/sqrt(H)] g0 on half-line samples.
 
-    H is eigendecomposed once and cached; negative eigenvalues follow the
-    hyperbolic branch, eigenvalues within 1e-10 of zero the series limits
-    (1 and t).
+    Matrix-free: one Chebyshev recurrence of tridiagonal matvecs on H with
+    its negative eigenvalues deflated, whose components follow the
+    hyperbolic branch (cosh, sinh/k) in closed form.  Memory is O(n) and
+    nothing is kept between calls.  Raises ValueError for a non-finite t or
+    vectors not of shape (n,), NumericsError when e^{kt} overflows.
     """
-    lam, vec = _eigendecomposition(op)
-    cf = vec.T @ np.asarray(f, dtype=float)
-    cg = vec.T @ np.asarray(g0, dtype=float)
-    return vec @ (_cos_weights(lam, t) * cf + _sinc_weights(lam, t) * cg)
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    f, g0 = np.asarray(f, dtype=float), np.asarray(g0, dtype=float)
+    if f.shape != (op.grid.n,) or g0.shape != (op.grid.n,):
+        raise ValueError(f"f and g0 must have shape ({op.grid.n},), got "
+                         f"{f.shape} and {g0.shape}")
+    return _WaveFlow(op)(np.stack((f, g0)), t)[0]
 
 
 def sine_split(op, dphi_da: np.ndarray, f: np.ndarray, times) -> dict:
@@ -648,26 +736,36 @@ def sine_split(op, dphi_da: np.ndarray, f: np.ndarray, times) -> dict:
     piece and the dispersive remainder.
 
     f and dphi_da are radial (3d) samples; the evolution runs on w = r f.
-    P_g-perp is applied spectrally (coefficients of negative modes zeroed,
-    which is the discrete Riesz projection and keeps the e^{kt} branch out
-    at rounding level).  The rank-one coefficient is the projection of the
-    output onto d_a phi over r <= r_max/4; the remainder sup is taken there
-    too.  Times beyond r_max/2 are truncation-contaminated.
+    P_g-perp drops the components along the negative eigenvectors of H
+    (the discrete Riesz projection), before and after every step, so the
+    e^{kt} branch stays out.  The state (u, u_t) is stepped between
+    consecutive times by the matrix-free flow of linear_propagate, with
+    the expansion of each distinct step computed once.  The rank-one
+    coefficient is the projection of the output onto d_a phi over
+    r <= r_max/4; the remainder sup is taken there too.  Times beyond
+    r_max/2 are truncation-contaminated.  Raises ValueError for non-finite,
+    negative or decreasing times.
     """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all() or np.any(times < 0.0) \
+            or np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be a 1-d array of finite, nonnegative, "
+                         "nondecreasing values")
     grid = op.grid
     r = grid.nodes
-    lam, vec = _eigendecomposition(op)
-    w_f = r * np.asarray(f, dtype=float)
-    coef = vec.T @ w_f
-    coef[lam < -1e-10] = 0.0
+    flow = _WaveFlow(op)
+    x = np.zeros((2, grid.n))
+    x[1] = r * np.asarray(f, dtype=float)
     w_res = r * np.asarray(dphi_da, dtype=float)
     window = r <= grid.r_max / 4.0
     denom = float(np.dot(w_res[window], w_res[window]))
-    times = np.asarray(times, dtype=float)
     coeffs = np.empty(times.size)
     rems = np.empty(times.size)
+    t_prev = 0.0
     for i, t in enumerate(times):
-        u = vec @ (_sinc_weights(lam, t) * coef)
+        x = flow(x, t - t_prev, negative=False)
+        t_prev = t
+        u = x[0]
         c = float(np.dot(u[window], w_res[window])) / denom
         coeffs[i] = c
         rems[i] = np.abs(u[window] - c * w_res[window]).max()

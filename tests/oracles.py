@@ -5,11 +5,13 @@ oracle uses a midpoint (RK2) stepper with its own bisection logic, and the
 quadrature oracles go through scipy.integrate.quad.  The leapfrog reference
 is the straightforward numpy stepper the buffered one must match bit for bit.
 The dense-matrix oracles (operator matrix, constrained infimum mu0, the
-symmetrized quadratic form) are O(n^3) and meant for small n.
+symmetrized quadratic form, the eigendecomposition propagators) are O(n^3)
+and meant for small n.
 """
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 
 def quad_oracle(f, a, b, **kw):
@@ -162,3 +164,58 @@ def symmetrized_quadratic_form(pair):
     vals, vecs = np.linalg.eigh(lm)
     root = vecs @ (np.sqrt(np.clip(vals, 0.0, None))[:, None] * vecs.T)
     return root @ lp @ root
+
+
+def _sinc_weights(lam, t):
+    """sin(t sqrt(lam))/sqrt(lam) with hyperbolic and small-|lam| branches."""
+    out = np.empty(lam.size)
+    pos = lam > 1e-10
+    neg = lam < -1e-10
+    mid = ~(pos | neg)
+    sp = np.sqrt(lam[pos])
+    out[pos] = np.sin(t * sp) / sp
+    sn = np.sqrt(-lam[neg])
+    out[neg] = np.sinh(t * sn) / sn
+    out[mid] = t
+    return out
+
+
+def _cos_weights(lam, t):
+    out = np.empty(lam.size)
+    pos = lam > 1e-10
+    neg = lam < -1e-10
+    mid = ~(pos | neg)
+    out[pos] = np.cos(t * np.sqrt(lam[pos]))
+    out[neg] = np.cosh(t * np.sqrt(-lam[neg]))
+    out[mid] = 1.0
+    return out
+
+
+def dense_propagate(op, f, g0, t):
+    """cos(t sqrt(H)) f + [sin(t sqrt(H))/sqrt(H)] g0 from the full
+    eigendecomposition of H."""
+    lam, vec = eigh_tridiagonal(op.diagonal, op.off_diagonal)
+    return vec @ (_cos_weights(lam, t) * (vec.T @ f)
+                  + _sinc_weights(lam, t) * (vec.T @ g0))
+
+
+def dense_sine_split(op, dphi_da, f, times):
+    """solitonlab.dynamics.sine_split from the full eigendecomposition:
+    P_g-perp zeroes the coefficients of the negative modes, and each time
+    is propagated from 0."""
+    r = op.grid.nodes
+    lam, vec = eigh_tridiagonal(op.diagonal, op.off_diagonal)
+    coef = vec.T @ (r * f)
+    coef[lam < -1e-10] = 0.0
+    w_res = r * dphi_da
+    window = r <= op.grid.r_max / 4.0
+    denom = float(np.dot(w_res[window], w_res[window]))
+    times = np.asarray(times, dtype=float)
+    coeffs = np.empty(times.size)
+    rems = np.empty(times.size)
+    for i, t in enumerate(times):
+        u = vec @ (_sinc_weights(lam, t) * coef)
+        c = float(np.dot(u[window], w_res[window])) / denom
+        coeffs[i] = c
+        rems[i] = np.abs(u[window] - c * w_res[window]).max()
+    return {"times": times, "rank_one_coeff": coeffs, "remainder_sup": rems}

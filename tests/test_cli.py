@@ -259,3 +259,19 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     assert rc == 2
     assert "minimum horizon" in capsys.readouterr().err
     assert not (out / "stable_h.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["sine-split", "--n", "400", "--dt-out", "0"],
+    ["sine-split", "--n", "400", "--dt-out", "-1"],
+    ["sine-split", "--n", "400", "--t0", "40"],
+    ["sine-split", "--n", "400", "--t0", "-1"],
+    ["mode-ode", "--n", "400", "--dt", "0"],
+    ["evolve", "--n", "400", "--t-final", "0"],
+    ["evolve", "--n", "400", "--t-final", "-1"],
+])
+def test_bad_time_values_exit_2(tmp_path, capsys, args):
+    rc, out = run_cli(args, tmp_path, "badtime")
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()

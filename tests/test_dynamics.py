@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from solitonlab.dynamics import (EvolveConfig, RadialState, _classify,
-                                 discrete_energy, project_to_sigma0,
+                                 _WaveFlow, discrete_energy, project_to_sigma0,
                                  evolve_nlw, evolve_unstable_mode, fit_decay,
                                  find_stable_h, linear_propagate,
                                  mode_decompose, nonlinearity_N, sine_split,
@@ -11,8 +11,9 @@ from solitonlab.dynamics import (EvolveConfig, RadialState, _classify,
 from solitonlab.errors import BracketError, NumericsError
 from solitonlab.radial import assemble_channel_operator, integrate, make_grid
 from solitonlab.solitons import aubin_phi, aubin_values
+from solitonlab.spectral import negative_eigenpairs
 
-from oracles import quad_oracle
+from oracles import dense_propagate, dense_sine_split, quad_oracle
 
 
 @pytest.fixture(scope="module")
@@ -354,6 +355,88 @@ def test_sine_split_orthogonal_input_no_rank_one(dyn_grid):
     res_plain = sine_split(op, av["dphi_da"], f, [5.0, 10.0, 15.0])
     assert np.abs(res["rank_one_coeff"]).max() < 0.35 * np.abs(
         res_plain["rank_one_coeff"]).max()
+
+
+@pytest.fixture(scope="module")
+def h1_800():
+    """H(1) on (0, 40] with 800 nodes (one negative eigenvalue) and its
+    Aubin values."""
+    g = make_grid(40.0, 800)
+    av = aubin_values(1.0, g)
+    return assemble_channel_operator(g, 0, av["potential"]), av
+
+
+@pytest.mark.parametrize("t", [0.5, 3.0, 8.0])
+def test_linear_propagate_matches_dense_oracle(h1_800, t):
+    op, _ = h1_800
+    assert len(negative_eigenpairs(op)) == 1
+    rng = np.random.default_rng(11)
+    decay = np.exp(-op.grid.nodes / 4.0)
+    f = rng.standard_normal(op.grid.n) * decay
+    g0 = rng.standard_normal(op.grid.n) * decay
+    out = linear_propagate(op, f, g0, t)
+    ref = dense_propagate(op, f, g0, t)
+    assert np.abs(out - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_sine_split_matches_dense_oracle(h1_800):
+    op, av = h1_800
+    f = np.exp(-op.grid.nodes ** 2 / 2.0)
+    times = np.arange(2.0, op.grid.r_max / 2.0 + 1e-9, 1.0)
+    res = sine_split(op, av["dphi_da"], f, times)
+    ref = dense_sine_split(op, av["dphi_da"], f, times)
+    for key in ("rank_one_coeff", "remainder_sup"):
+        assert np.all(np.abs(res[key] - ref[key]) <= 1e-8 * np.abs(ref[key]))
+
+
+def test_sine_split_steps_stay_orthogonal_to_g(h1_800):
+    # sine_split's projection: the stepped state keeps no component along
+    # the negative eigenvector, so e^{kt} never enters
+    op, _ = h1_800
+    g = negative_eigenpairs(op)[0].vector
+    g = g / np.linalg.norm(g)
+    flow = _WaveFlow(op)
+    x = np.zeros((2, op.grid.n))
+    x[1] = op.grid.nodes * np.exp(-op.grid.nodes ** 2 / 2.0)
+    for dt in [2.0] + [1.0] * 18:
+        x = flow(x, dt, negative=False)
+        assert np.all(np.abs(x @ g) <= 1e-15 * np.abs(x).max(axis=1))
+
+
+def test_propagators_reject_bad_input(h1_800):
+    op, av = h1_800
+    n = op.grid.n
+    f = np.exp(-op.grid.nodes ** 2)
+    bad = assemble_channel_operator(
+        op.grid, 0, np.where(op.grid.nodes < 1.0, np.nan, av["potential"]))
+    with pytest.raises(ValueError, match="non-finite"):
+        linear_propagate(bad, f, f, 1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        sine_split(bad, av["dphi_da"], f, [1.0, 2.0])
+    for t in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            linear_propagate(op, f, f, t)
+    with pytest.raises(ValueError, match="shape"):
+        linear_propagate(op, f[:-1], f[:-1], 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        linear_propagate(op, f, np.zeros((2, n)), 1.0)
+    for times in ([1.0, np.nan], [1.0, np.inf], [-1.0, 2.0], [3.0, 2.0]):
+        with pytest.raises(ValueError, match="nondecreasing"):
+            sine_split(op, av["dphi_da"], f, times)
+    # e^{kt} beyond float range is a numeric failure, not an overflow
+    # warning, and so is a step whose expansion would not fit in memory
+    with pytest.raises(NumericsError, match="overflows"):
+        linear_propagate(op, f, f, 400.0)
+    with pytest.raises(NumericsError, match="Chebyshev terms"):
+        sine_split(op, av["dphi_da"], f, [1e6])
+
+
+def test_evolve_nlw_rejects_nonpositive_t_final(dyn_grid):
+    state = RadialState(dyn_grid, np.zeros(dyn_grid.n), np.zeros(dyn_grid.n),
+                        "perturbation")
+    for t_final in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="t_final"):
+            evolve_nlw(state, t_final)
 
 
 def test_find_stable_h_zero_data_gives_zero(dyn_grid):

@@ -1,4 +1,4 @@
-"""Hot inner loops: Sturm counts, shooting recurrences, RK4 ground-state
+"""Hot inner loops: Sturm counts, the shooting recurrence, RK4 ground-state
 integration, the leapfrog stepper and tridiagonal solves.
 
 Each kernel has one implementation.  The sequential recurrences are plain
@@ -45,60 +45,41 @@ def sturm_count(diag, off, x):
     return count
 
 
-def shoot_count(h2_diag, energy_h2):
-    """Interior sign changes of the regular shooting solution of (A - E)w = 0.
+def shoot_solution(h2_diag, energy_h2):
+    """Regular shooting solution w of (A - E)w = 0, one value per row.
 
     ``h2_diag`` holds h^2 * diagonal.  The three-term recurrence
     w[j+1] = (h2_diag[j] - h^2 E) w[j] - w[j-1] starts from the Dirichlet
-    phantom w(-1) = 0, w[0] = 1 and stops at w[m-1] (the last entry is not
-    read); its sign changes count the eigenvalues below E of the leading
-    (m-1) x (m-1) block (discrete oscillation theorem).
+    phantom w(-1) = 0, w[0] = 1.  An exact zero step becomes -+1e-300,
+    opposite in sign to w[j] (a grazing zero is one sign change).  Past
+    |w| = 1e100 the running values are renormalized at once and the prefix
+    by one slice multiply per event at the end, so the output is one
+    consistent scaling of the solution.  Its np.signbit flips, which
+    survive entries underflowed to +-0, count the eigenvalues below E of
+    the leading (m-1) x (m-1) block (discrete oscillation theorem).
     """
     m = h2_diag.shape[0]
     h2_diag, energy_h2 = h2_diag.tolist(), float(energy_h2)
-    count = 0
+    out = [1.0] * m
+    events = []
     w_prev = 0.0
     w = 1.0
     for j in range(m - 1):
         w_next = (h2_diag[j] - energy_h2) * w - w_prev
         if w_next == 0.0:
-            # grazing zero: one sign change, continue with the flipped sign
-            count += 1
             w_next = -1e-300 if w > 0.0 else 1e-300
-        elif (w_next < 0.0) != (w < 0.0):
-            count += 1
-        aw = abs(w_next)
-        if aw > _RENORM:
-            w = w / aw
-            w_next = w_next / aw
-        w_prev = w
-        w = w_next
-    return count
-
-
-def shoot_solution(h2_diag, energy_h2, out):
-    """Regular shooting solution of (A - E)w = 0, written into ``out``.
-
-    Same recurrence as shoot_count but keeps the whole solution; on
-    overflow the already-written prefix is renormalized so the output is one
-    consistent scaling of the regular solution.
-    """
-    m = h2_diag.shape[0]
-    out[0] = 1.0
-    w_prev = 0.0
-    w = 1.0
-    for j in range(m - 1):
-        w_next = (h2_diag[j] - energy_h2) * w - w_prev
         aw = abs(w_next)
         if aw > _RENORM:
             inv = 1.0 / aw
-            for i in range(j + 1):
-                out[i] *= inv
+            events.append((j + 1, inv))
             w = w * inv
             w_next = w_next * inv
         out[j + 1] = w_next
         w_prev = w
         w = w_next
+    out = np.array(out)
+    for stop, inv in events:
+        out[:stop] *= inv
     return out
 
 

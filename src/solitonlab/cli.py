@@ -25,8 +25,9 @@ from .spectral import (birman_schwinger_count, negative_eigenpairs,
 from .linearized import (SigmaStarConfig, assemble_linearized_pair, gap_scan,
                          instability_criterion, mu0, sigma_star, weinstein_h,
                          weinstein_h_from_scaling)
-from .resolvent import (classify_zero_mode, jensen_nenciu_invert, laurent_fit,
-                        singular_family, halfline_free_kernel)
+from .resolvent import (classify_zero_mode, free_resolvent_kernel,
+                        halfline_free_kernel, jensen_nenciu_invert,
+                        laurent_fit, singular_family)
 from .dynamics import (RadialState, evolve_nlw, evolve_unstable_mode,
                        find_stable_h, sine_split,
                        stability_initial_condition, unstable_mode)
@@ -202,7 +203,7 @@ def cmd_laurent(args):
     xs = np.linspace(0.5, 5.0, args.points)
     if args.free_d == 1:
         def sampler(z):
-            return np.array([[np.exp(1j * z * abs(x - y)) / (2j * z)
+            return np.array([[free_resolvent_kernel(1, z, x, y)
                               for y in xs] for x in xs])
     else:
         def sampler(z):
@@ -311,6 +312,9 @@ def cmd_mode_ode(args):
     g = make_grid(args.r_max, args.n)
     k = unstable_mode(g).k
     T = 20.0 / k
+    if not args.dt < T:
+        raise ValueError(
+            f"--dt must be below the horizon 20/k = {T:.6g}, got {args.dt}")
     ts = np.linspace(0.0, T, int(round(T / args.dt)) + 1)
     F = 1.0 / (1.0 + ts ** 2)
     n0 = stability_initial_condition(ts, F, k)

@@ -88,10 +88,6 @@ class UnstableMode:
     k: float
     g: np.ndarray = field(repr=False)
 
-    @property
-    def k_squared(self):
-        return self.k ** 2
-
 
 def unstable_mode(grid: RadialGrid, a: float = 1.0) -> UnstableMode:
     """k and g with H(a) g = -k^2 g, normalized to unit L^2(R^3) norm."""
@@ -135,12 +131,6 @@ class RadialState:
             return self
         return RadialState(self.grid, self.u + background / self.grid.nodes,
                            self.ut, "full")
-
-    def to_perturbation(self, background: np.ndarray) -> "RadialState":
-        if self.frame == "perturbation":
-            return self
-        return RadialState(self.grid, self.u - background / self.grid.nodes,
-                           self.ut, "perturbation")
 
 
 @dataclass(frozen=True)
@@ -422,6 +412,17 @@ def _voc_weights(k: float, dt: float):
     return ekd, a, b
 
 
+def _mode_series(times, F_plus, k):
+    """times and F_plus as float arrays; ValueError for k <= 0 or fewer
+    than two samples."""
+    if k <= 0.0:
+        raise ValueError("k must be positive")
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        raise ValueError(f"need at least two time samples, got {times.size}")
+    return times, np.asarray(F_plus, dtype=float)
+
+
 def stability_initial_condition(times: np.ndarray, F_plus: np.ndarray,
                                 k: float) -> float:
     """The unique n_plus(0) = -int_0^inf e^{-ks} F_plus(s) ds that removes growth.
@@ -431,10 +432,7 @@ def stability_initial_condition(times: np.ndarray, F_plus: np.ndarray,
     branch survives to rounding).  Warns when k T < 20; the neglected tail
     is bounded by |F(T)| e^{-kT} / k.
     """
-    if k <= 0.0:
-        raise ValueError("k must be positive")
-    times = np.asarray(times, dtype=float)
-    F_plus = np.asarray(F_plus, dtype=float)
+    times, F_plus = _mode_series(times, F_plus, k)
     T = times[-1]
     if k * T < 20.0 * (1.0 - 1e-9):
         tail = abs(F_plus[-1]) * math.exp(-k * T) / k
@@ -453,10 +451,7 @@ def stability_initial_condition(times: np.ndarray, F_plus: np.ndarray,
 def evolve_unstable_mode(times: np.ndarray, F_plus: np.ndarray, k: float,
                          n_plus_0: float) -> np.ndarray:
     """Integrate dn/dt - k n = F by exact variation of constants per step."""
-    if k <= 0.0:
-        raise ValueError("k must be positive")
-    times = np.asarray(times, dtype=float)
-    F_plus = np.asarray(F_plus, dtype=float)
+    times, F_plus = _mode_series(times, F_plus, k)
     out = np.empty(times.size)
     out[0] = n_plus_0
     x = n_plus_0

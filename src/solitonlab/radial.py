@@ -68,11 +68,6 @@ class ChannelOperator:
     def h(self) -> float:
         return self.grid.h
 
-    def shifted(self, shift: float) -> "ChannelOperator":
-        """The operator with the potential shifted by a constant."""
-        return assemble_channel_operator(self.grid, self.ell,
-                                         self.potential + shift)
-
 
 def assemble_channel_operator(grid: RadialGrid, ell: int,
                               potential: np.ndarray) -> ChannelOperator:

@@ -1,9 +1,11 @@
 """Half-line spectral analysis: bound states, node counts, zero-energy
 classification, and Birman-Schwinger counting.
 
-Bound states are counted by Sturm sign counts and by the nodes of the
-shooting solution (exact counting, mirroring the oscillation-theory
-argument that underpins every spectral claim here); eigenpairs and the
+Bound states are counted by Sturm sign counts and by the sign flips of
+the regular shooting solution, the same recurrence that the zero-energy
+and edge diagnoses read (exact counting, mirroring the oscillation-theory
+argument that underpins every spectral claim here); eigenvalue_by_index
+is one Sturm bisection that ends at float resolution; eigenpairs and the
 eigenvalues in a window come from LAPACK's tridiagonal bisection and
 inverse iteration (stebz/stein).  The Birman-Schwinger section counts
 eigenvalues near or above 1 of the explicit zero-energy kernel
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._kernels import shoot_count, shoot_solution, sturm_count
+from ._kernels import shoot_solution, sturm_count
 from .errors import ConvergenceError, NumericsError, TailFitError
 from .radial import (ChannelOperator, RadialGrid, apply_operator,
                      fit_loglog_slope, integrate)
@@ -61,45 +63,45 @@ def count_eigenvalues_below(op: ChannelOperator, energy: float) -> int:
 
 
 def count_nodes(op: ChannelOperator, energy: float) -> int:
-    """Interior sign changes of the regular solution of (op - E) w = 0.
+    """Sign changes of the regular solution of (op - E) w = 0.
 
-    Equals the number of eigenvalues of the interior Dirichlet block below
-    `energy` by discrete oscillation theory, as count_eigenvalues_below; the
-    shooting recurrence renormalizes on overflow, so deeply negative
+    Counts the np.signbit flips of regular_solution, which by discrete
+    oscillation theory equal the eigenvalues of the interior Dirichlet
+    block below `energy`, as count_eigenvalues_below.  The shooting
+    recurrence renormalizes on overflow and signbit keeps the sign of an
+    entry that renormalization underflows to +-0, so deeply negative
     energies are safe.
     """
-    h2 = op.h ** 2
-    return shoot_count(op.diagonal * h2, energy * h2)
+    s = np.signbit(regular_solution(op, energy))
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def regular_solution(op: ChannelOperator, energy: float) -> np.ndarray:
     """Regular (w(0) = 0 branch) shooting solution of (op - E) w = 0."""
     h2 = op.h ** 2
-    out = np.empty(op.grid.n)
-    shoot_solution(op.diagonal * h2, energy * h2, out)
-    return out
-
-
-def _bisect_eigenvalue(diag, off, index: int, lo: float, hi: float,
-                       tol: float) -> float:
-    """Bisect for the eigenvalue with `index` eigenvalues strictly below."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if sturm_count(diag, off, mid) >= index + 1:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return shoot_solution(op.diagonal * h2, energy * h2)
 
 
 def eigenvalue_by_index(op: ChannelOperator, index: int,
                         tol: float = 1e-13) -> float:
-    """The index-th smallest eigenvalue (0-based) by Sturm bisection."""
+    """The index-th smallest eigenvalue (0-based) by Sturm bisection.
+
+    Bisects the Gershgorin interval with sturm_count (Barth, Martin and
+    Wilkinson 1967) until the bracket is narrower than `tol` or its
+    midpoint rounds to an end, so an eigenvalue whose ulp exceeds `tol`
+    still ends the search.
+    """
     bound = float(np.max(np.abs(op.diagonal)) + 2.0 / op.h ** 2)
-    e = _bisect_eigenvalue(op.diagonal, op.off_diagonal, index,
-                           -bound, bound, tol * (1.0 + bound) * 1e-3)
-    return _bisect_eigenvalue(op.diagonal, op.off_diagonal, index,
-                              e - 1.0, e + 1.0, tol)
+    lo, hi = -bound, bound
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if sturm_count(op.diagonal, op.off_diagonal, mid) >= index + 1:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _count_sign_changes(v: np.ndarray) -> int:

@@ -83,6 +83,14 @@ def test_weinstein_json(tmp_path):
     assert data["criterion"]["unstable"] is True
 
 
+def test_weinstein_deep_ground_state_exits(tmp_path):
+    # alpha = 10 puts L_plus's ground energy near -1.5e3, where one ulp
+    # exceeds the bisection tolerance
+    rc, _ = run_cli(["weinstein", "--alpha", "10", "--r-max", "8",
+                     "--n", "3000"], tmp_path, "wei10")
+    assert rc == 0
+
+
 def test_jn_demo_deterministic(tmp_path):
     rc1, out1 = run_cli(["jn-demo", "--seed", "3"], tmp_path, "jn1")
     rc2, out2 = run_cli(["jn-demo", "--seed", "3"], tmp_path, "jn2")
@@ -269,9 +277,16 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     ["mode-ode", "--n", "400", "--dt", "0"],
     ["evolve", "--n", "400", "--t-final", "0"],
     ["evolve", "--n", "400", "--t-final", "-1"],
+    ["mode-ode", "--n", "400", "--dt", "100"],
 ])
 def test_bad_time_values_exit_2(tmp_path, capsys, args):
     rc, out = run_cli(args, tmp_path, "badtime")
     assert rc == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mode_ode_dt_past_horizon_names_it(tmp_path, capsys):
+    rc, _ = run_cli(["mode-ode", "--n", "400", "--dt", "100"], tmp_path, "mo")
+    assert rc == 2
+    assert "horizon 20/k" in capsys.readouterr().err

@@ -259,6 +259,13 @@ def test_stability_initial_condition_short_horizon_warns():
         stability_initial_condition(ts, np.exp(-ts), 1.0)
 
 
+def test_mode_ode_needs_two_samples():
+    with pytest.raises(ValueError, match="two time samples"):
+        stability_initial_condition(np.zeros(1), np.ones(1), 1.0)
+    with pytest.raises(ValueError, match="two time samples"):
+        evolve_unstable_mode(np.zeros(1), np.ones(1), 1.0, 0.0)
+
+
 def test_evolve_unstable_mode_trivial():
     ts = np.linspace(0.0, 10.0, 1001)
     out = evolve_unstable_mode(ts, np.zeros_like(ts), 1.3, 0.0)

@@ -101,6 +101,42 @@ def test_count_nodes_deep_energy_renormalizes(nlw_op):
     assert count_nodes(nlw_op, -400.0) == 0
 
 
+def test_count_nodes_exact_zero_step():
+    # E = diagonal[0] makes w[1] exactly zero; it is moved to -1e-300, one
+    # sign change, and the count still matches the Sturm count
+    g = make_grid(30.0, 600)
+    op = assemble_channel_operator(g, 0, aubin_values(1.0, g)["potential"])
+    energy = op.diagonal[0]
+    assert regular_solution(op, energy)[1] == -1e-300
+    assert count_nodes(op, energy) == count_eigenvalues_below(op, energy)
+
+
+def test_count_nodes_deep_energy_matches_sturm(nlw_op):
+    # at E = -1e4 the prefix is renormalized many times, until w[0]
+    # underflows to +0
+    w = regular_solution(nlw_op, -1e4)
+    assert w[0] == 0.0 and not np.signbit(w[0])
+    assert count_nodes(nlw_op, -1e4) == count_eigenvalues_below(nlw_op, -1e4)
+    # in a deep well every node of the E = -2e4 solution lies in the
+    # underflowed prefix, where only the sign bit of +-0 carries it
+    g = make_grid(10.0, 1000)
+    well = assemble_channel_operator(g, 0, -3e4 * np.exp(-g.nodes ** 2))
+    w = regular_solution(well, -2e4)
+    assert np.all(w[np.abs(w) > 0.0] > 0.0)
+    assert count_nodes(well, -2e4) == count_eigenvalues_below(well, -2e4) == 16
+
+
+def test_eigenvalue_by_index_top_of_spectrum():
+    # the top eigenvalues (about 1.66e3) have an ulp above the default
+    # tol; the bisection still ends, at float resolution
+    g = make_grid(np.pi, 64)
+    op = assemble_channel_operator(g, 0, np.zeros(g.n))
+    ref = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True)
+    for index in (g.n - 2, g.n - 1):
+        assert eigenvalue_by_index(op, index) == pytest.approx(ref[index],
+                                                               rel=1e-12)
+
+
 def test_count_consistency_random_potentials(rng):
     g = make_grid(30.0, 800)
     for _ in range(8):

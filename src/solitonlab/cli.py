@@ -281,6 +281,7 @@ def cmd_stable_h(args):
             "decay_fit": res.decay_fit,
             "decay_window": list(res.decay_window),
             "n_runs": res.n_runs,
+            "n_estimate_runs": res.n_estimate_runs,
         },
         "centrist_observables.csv": (
             ["t", "sup_norm", "n_plus"],
@@ -421,7 +422,8 @@ def build_parser(exit_on_error=True):
     p.add_argument("--snapshots", type=float, nargs="*", default=[])
 
     p = command("stable-h", cmd_stable_h,
-                "stable-manifold bisection experiment", (40.0, 4000))
+                "stable-manifold experiment: the h* between blowup and "
+                "dispersal", (40.0, 4000))
     p.add_argument("--eps", type=float, default=0.02)
     p.add_argument("--bracket-width", type=float, default=0.05)
     p.add_argument("--tol", type=float, default=0.0)

@@ -1,6 +1,6 @@
 """Radial quintic wave dynamics around the soliton: leapfrog evolution in
 the reduced field w = r psi, unstable-mode bookkeeping, linear propagators,
-and the stable-manifold bisection experiment.
+and the stable-manifold experiment.
 
 Conventions.  The reduced equation is w_tt = w_rr + w^5/r^4 with w(0) = 0
 and the last node frozen (data stay inside the light cone of the truncation
@@ -247,7 +247,7 @@ def _time_grid(grid: RadialGrid, t_final: float, dt, config: EvolveConfig):
 
 def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
           early_exit: bool = False) -> _Run:
-    """Leapfrog core shared by evolve_nlw and the stable-manifold bisection.
+    """Leapfrog core shared by evolve_nlw and the stable-manifold search.
 
     With early_exit the stepper stops at the first snapshot whose |n_plus|
     exceeds config.exit_n_plus, where the outcome is fixed.
@@ -304,11 +304,8 @@ def _outcome(run: _Run, config: EvolveConfig):
     if run.reason in (1, 2):
         return "blowup", run.stop_step * run.dt, math.nan
     n_plus = run.n_plus
-    exited = np.abs(n_plus) > config.exit_n_plus
-    # the stepper's own sum decided a reason-3 stop at the last snapshot
-    exited[-1] |= run.reason == 3
-    if exited.any():
-        j = int(np.argmax(exited))
+    j = _exit_index(run, config)
+    if j < len(n_plus):
         return ("blowup" if n_plus[j] > 0 else "dispersal"), math.nan, run.times[j]
     r = run.grid.nodes
     init_sup = run.sup_norms[0]
@@ -328,12 +325,37 @@ def _outcome(run: _Run, config: EvolveConfig):
     return "undecided", math.nan, math.nan
 
 
-def _classify(initial: RadialState, t_final: float,
-              config: EvolveConfig) -> str:
-    """evolve_nlw(initial, t_final, config=config).outcome, stepping only
-    until the outcome is fixed and computing no other observable."""
-    return _outcome(_step(initial, t_final, None, config, early_exit=True),
-                    config)[0]
+def _exit_index(run: _Run, config: EvolveConfig) -> int:
+    """Index of the first snapshot with |n_plus| > config.exit_n_plus, or
+    len(run.W) when there is none."""
+    exited = np.abs(run.n_plus) > config.exit_n_plus
+    # the stepper's own sum decided a reason-3 stop at the last snapshot
+    exited[-1] |= run.reason == 3
+    return int(np.argmax(exited)) if exited.any() else len(exited)
+
+
+def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
+    """(outcome, offset): evolve_nlw(initial, t_final, config=config).outcome,
+    stepping only until the outcome is fixed, and the run's measure of its
+    distance h - h* from the stable manifold along g.
+
+    While the run is linear, n_plus(t) ~ e^{kt} (h - h*)/2, so the offset is
+    2 e^{-k t_j} n_plus(t_j) at the last snapshot j >= 1 before the decision
+    (the first |n_plus| > exit_n_plus, or the amplitude cap) with |n_plus|
+    <= _LINEAR_N_PLUS; None when no snapshot qualifies.  Snapshot 0 carries
+    no information (on find_stable_h's data n_plus(0) = h/2 whatever h* is),
+    and nothing after the decision is read, so an early-exit run and a full
+    run give the same offset.
+    """
+    run = _step(initial, t_final, None, config, early_exit=True)
+    outcome = _outcome(run, config)[0]
+    n_plus = run.n_plus
+    linear = np.abs(n_plus[1:_exit_index(run, config)]) <= _LINEAR_N_PLUS
+    if not linear.any():
+        return outcome, None
+    j = 1 + int(np.flatnonzero(linear)[-1])
+    offset = 2.0 * math.exp(-run.mode.k * run.times[j]) * float(n_plus[j])
+    return outcome, offset
 
 
 def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
@@ -472,6 +494,7 @@ class StableManifoldResult:
     decay_fit: float
     decay_window: tuple
     n_runs: int
+    n_estimate_runs: int
     trajectory: Trajectory = field(default=None, repr=False)
 
 
@@ -484,6 +507,8 @@ def project_to_sigma0(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
 
 # the decay fit of find_stable_h: from t = 5 to between 7 and 25
 _DECAY_START, _DECAY_MIN_END, _DECAY_MAX_END = 5.0, 7.0, 25.0
+# |n_plus| up to which a classification run is read as linear in h - h*
+_LINEAR_N_PLUS = 2e-3
 
 
 def _min_fit_horizon(dt: float, stride: int) -> float:
@@ -514,23 +539,36 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
                   bracket_width: float = 0.05, tol: float = 0.0,
                   t_horizon: float = 30.0,
                   config: EvolveConfig = EvolveConfig()) -> StableManifoldResult:
-    """Bisect the ground-state correction h separating blowup from dispersal.
+    """The ground-state correction h* separating blowup from dispersal.
 
     Data (f1 + h g, f2) ride on the discrete static profile; f1 is first
     projected so the pair lies in the tangent space (<k f1 + f2, g> = 0).
-    The bracket must produce distinct outcomes at its ends.  tol = 0 means
-    bisect to float64 resolution, which is also the physical limit: the
-    bracket width is amplified by e^{kt}, so every run eventually exits the
-    soliton neighborhood around t ~ log(1/width)/k.  The decay fit of the
-    final centrist run is therefore taken on [5, 25] clipped to the span
-    where the unstable-mode content is still small against the dispersive
-    sup norm; the window used is reported in the result.
+    The bracket must produce distinct outcomes at its ends, and it keeps
+    them: every candidate replaces the end with its outcome.  Each
+    classification run stops at its decision (|n_plus| past
+    config.exit_n_plus, or the amplitude cap) and measures its distance
+    from the manifold, n_plus(t) ~ e^{kt} (h - h*)/2 (see _classify).  The
+    first candidate is the midpoint.  Each later one is the last run's
+    estimate of h* when it lies strictly inside the bracket, and the
+    midpoint when it does not, when the run gave none, or after three
+    candidates in a row landed on the same side.  Each estimate gains about
+    a digit until the outcome is set by rounding noise in the e^{kt}
+    amplification; midpoints finish from there.
 
-    Each bisection run stops at its decision: once |n_plus| passes
-    config.exit_n_plus (or the amplitude cap is hit) the outcome is fixed,
-    so only the final centrist run is stepped to the horizon and keeps its
-    observables.  A horizon too short to give the decay fit 3 snapshots in
-    [5, 7] is rejected with ValueError before the first run.
+    tol = 0 means search to float64 resolution (the ends adjacent floats),
+    which is also the physical limit: the bracket width is amplified by
+    e^{kt}, so every run eventually exits the soliton neighborhood around
+    t ~ log(1/width)/k.  A candidate that ends undecided (no exit within
+    the horizon) is as near as the horizon resolves and ends the search as
+    h_star; otherwise h_star is the midpoint of the final bracket.
+
+    Only the final centrist run is stepped to the horizon and keeps its
+    observables.  Its decay fit is taken on [5, 25] clipped to the span
+    where the unstable-mode content is still small against the dispersive
+    sup norm; the window used is reported in the result, and so are the
+    runs (n_runs) and how many candidates were estimates (n_estimate_runs).
+    A horizon too short to give the decay fit 3 snapshots in [5, 7] is
+    rejected with ValueError before the first run.
     """
     dt, n_steps, stride = _time_grid(grid, t_horizon, None, config)
     t_need = _min_fit_horizon(dt, stride)
@@ -547,26 +585,38 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
         return RadialState(grid, f1p + hc * mode.g, f2p, "perturbation")
 
     lo, hi = -bracket_width, bracket_width
-    out_lo = _classify(state(lo), t_horizon, config)
-    out_hi = _classify(state(hi), t_horizon, config)
+    out_lo = _classify(state(lo), t_horizon, config)[0]
+    out_hi = _classify(state(hi), t_horizon, config)[0]
     runs = 2
     if out_lo == out_hi or "undecided" in (out_lo, out_hi):
         raise BracketError(
             f"bracket ends gave {out_lo!r}/{out_hi!r}; widen it")
+    h_star, estimate, n_estimates, streak, last_below = None, None, 0, 0, None
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        out = _classify(state(mid), t_horizon, config)
+        if estimate is not None and lo < estimate < hi and streak < 3:
+            hc = estimate
+            n_estimates += 1
+        else:
+            hc = mid
+        out, offset = _classify(state(hc), t_horizon, config)
         runs += 1
         if out == "undecided":
-            # ran out of horizon without exiting: near enough to stop
+            # ran out of horizon without exiting: as near as it resolves
+            h_star = hc
             break
-        if out == out_lo:
-            lo = mid
+        below = out == out_lo
+        streak = streak + 1 if below == last_below else 1
+        last_below = below
+        if below:
+            lo = hc
         else:
-            hi = mid
-    h_star = 0.5 * (lo + hi)
+            hi = hc
+        estimate = None if offset is None else hc - offset
+    if h_star is None:
+        h_star = 0.5 * (lo + hi)
     traj = evolve_nlw(state(h_star), t_horizon, config=config)
     runs += 1
     t_clean = _near_manifold_span(traj)
@@ -577,7 +627,8 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     return StableManifoldResult(
         h_star=h_star, bracket_final=(lo, hi),
         below_outcome=out_lo, above_outcome=out_hi,
-        decay_fit=decay, decay_window=win, n_runs=runs, trajectory=traj)
+        decay_fit=decay, decay_window=win, n_runs=runs,
+        n_estimate_runs=n_estimates, trajectory=traj)
 
 
 def fit_decay(times: np.ndarray, values: np.ndarray, window) -> float:

@@ -56,10 +56,10 @@ class ZeroEnergyDiagnosis:
 def count_eigenvalues_below(op: ChannelOperator, energy: float) -> int:
     """Sturm count of operator eigenvalues strictly below `energy`.
 
-    Counts over the interior Dirichlet block (the pinned truncation row
-    contributes only its huge positive diagonal, irrelevant below it).
+    Counts over the interior Dirichlet block: the pinned truncation row
+    (its huge positive diagonal, decoupled) is left out, as in count_nodes.
     """
-    return sturm_count(op.diagonal, op.off_diagonal, energy)
+    return sturm_count(op.diagonal[:-1], op.off_diagonal[:-1], energy)
 
 
 def count_nodes(op: ChannelOperator, energy: float) -> int:

@@ -6,12 +6,18 @@ quadrature oracles go through scipy.integrate.quad.  The leapfrog reference
 is the straightforward numpy stepper the buffered one must match bit for bit.
 The dense-matrix oracles (operator matrix, constrained infimum mu0, the
 symmetrized quadratic form, the eigendecomposition propagators) are O(n^3)
-and meant for small n.
+and meant for small n.  The stable-manifold search twin classifies every
+candidate by a full evolve_nlw run instead of an early-stopped one.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
+
+from solitonlab.dynamics import (EvolveConfig, RadialState, evolve_nlw,
+                                 project_to_sigma0, unstable_mode)
 
 
 def quad_oracle(f, a, b, **kw):
@@ -219,3 +225,60 @@ def dense_sine_split(op, dphi_da, f, times):
         coeffs[i] = c
         rems[i] = np.abs(u[window] - c * w_res[window]).max()
     return {"times": times, "rank_one_coeff": coeffs, "remainder_sup": rems}
+
+
+def full_run_stable_h_search(f1, f2, grid, bracket_width, t_horizon):
+    """solitonlab.dynamics.find_stable_h's search with tol = 0, written from
+    its specification, with every candidate run to the horizon by evolve_nlw.
+
+    A run's estimate of h* is h - 2 e^{-k t_j} n_plus(t_j) at the last
+    snapshot j >= 1 before the first |n_plus| > exit_n_plus with |n_plus| <=
+    2e-3.  The next candidate is that estimate when it lies strictly inside
+    the bracket and the last three candidates did not all land on the same
+    side, else the midpoint.  An undecided candidate ends the search as
+    h_star.  Returns (h_star, bracket_final, below, above, n_runs,
+    n_estimate_runs, outcomes), outcomes being the candidates' (h, outcome)
+    in order, bracket ends first.
+    """
+    mode = unstable_mode(grid)
+    f1p, f2p = project_to_sigma0(f1, f2, grid, mode)
+    exit_n_plus = EvolveConfig().exit_n_plus
+    outcomes = []
+
+    def run(hc):
+        traj = evolve_nlw(RadialState(grid, f1p + hc * mode.g, f2p,
+                                      "perturbation"), t_horizon)
+        outcomes.append((hc, traj.outcome))
+        n_plus = traj.n_plus_series
+        past = np.flatnonzero(np.abs(n_plus) > exit_n_plus)
+        end = int(past[0]) if past.size else len(n_plus)
+        for j in range(end - 1, 0, -1):
+            if abs(n_plus[j]) <= 2e-3:
+                return traj.outcome, hc - 2.0 * math.exp(
+                    -mode.k * traj.times[j]) * float(n_plus[j])
+        return traj.outcome, None
+
+    lo, hi = -bracket_width, bracket_width
+    below, above = run(lo)[0], run(hi)[0]
+    estimate, n_estimates, sides = None, 0, []
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if estimate is not None and lo < estimate < hi and not (
+                len(sides) >= 3 and len(set(sides[-3:])) == 1):
+            hc = estimate
+            n_estimates += 1
+        else:
+            hc = mid
+        out, estimate = run(hc)
+        if out == "undecided":
+            return (hc, (lo, hi), below, above, len(outcomes) + 1,
+                    n_estimates, outcomes)
+        sides.append(out == below)
+        if out == below:
+            lo = hc
+        else:
+            hi = hc
+    return (0.5 * (lo + hi), (lo, hi), below, above, len(outcomes) + 1,
+            n_estimates, outcomes)

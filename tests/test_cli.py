@@ -164,6 +164,7 @@ def test_stable_h_json(tmp_path):
     data = json.loads((out / "stable_h.json").read_text())
     assert data["below_outcome"] != data["above_outcome"]
     assert abs(data["h_star"]) < 1e-3
+    assert 0 < data["n_estimate_runs"] < data["n_runs"]
     assert (out / "centrist_observables.csv").exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from solitonlab import dynamics
 from solitonlab.dynamics import (EvolveConfig, RadialState, _classify,
                                  _WaveFlow, discrete_energy, project_to_sigma0,
                                  evolve_nlw, evolve_unstable_mode, fit_decay,
@@ -13,7 +14,8 @@ from solitonlab.radial import assemble_channel_operator, integrate, make_grid
 from solitonlab.solitons import aubin_phi, aubin_values
 from solitonlab.spectral import negative_eigenpairs
 
-from oracles import dense_propagate, dense_sine_split, quad_oracle
+from oracles import (dense_propagate, dense_sine_split,
+                     full_run_stable_h_search, quad_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -493,12 +495,75 @@ def test_find_stable_h_matches_full_run_bisection():
     f1 = 0.02 * np.exp(-g.nodes ** 2)
     res = find_stable_h(f1, np.zeros(g.n), g, bracket_width=0.05, tol=0.0,
                         t_horizon=20.0)
-    h_star, bracket, below, above, runs = _full_run_bisection(
-        f1, np.zeros(g.n), g, 0.05, 0.0, 20.0)
+    # early exit never changes the search: its twin runs every candidate,
+    # and measures every estimate, to the horizon
+    h_star, bracket, below, above, runs, n_est, _ = full_run_stable_h_search(
+        f1, np.zeros(g.n), g, 0.05, 20.0)
     assert res.h_star == h_star
     assert res.bracket_final == bracket
     assert (res.below_outcome, res.above_outcome) == (below, above)
     assert res.n_runs == runs
+    assert res.n_estimate_runs == n_est > 0
+    lo, hi = res.bracket_final
+    assert type(res.h_star) is type(lo) is type(hi) is float
+    assert lo < hi and 0.5 * (lo + hi) in (lo, hi)
+    # the plain bisection, an independent oracle, finds the same h* in at
+    # least twice the runs
+    h_bisect, _, below_b, above_b, runs_bisect = _full_run_bisection(
+        f1, np.zeros(g.n), g, 0.05, 0.0, 20.0)
+    assert (below_b, above_b) == (below, above)
+    assert abs(res.h_star - h_bisect) <= 1e-10 * abs(h_bisect)
+    assert 2 * res.n_runs <= runs_bisect
+
+
+def test_find_stable_h_undecided_candidate_ends_search():
+    # at horizon 8 the first estimate is too near h* to exit before the end
+    g = make_grid(30.0, 1000)
+    mode = unstable_mode(g)
+    f1 = 0.02 * np.exp(-g.nodes ** 2)
+    res = find_stable_h(f1, np.zeros(g.n), g, bracket_width=0.05, tol=0.0,
+                        t_horizon=8.0)
+    twin = full_run_stable_h_search(f1, np.zeros(g.n), g, 0.05, 8.0)
+    assert twin[6][-1][1] == "undecided"
+    assert (res.h_star, res.bracket_final, res.n_runs,
+            res.n_estimate_runs) == (twin[0], twin[1], twin[4], twin[5])
+    assert res.trajectory.outcome == "undecided"
+    lo, hi = res.bracket_final
+    assert lo < res.h_star < hi
+    f1p, f2p = project_to_sigma0(f1, np.zeros(g.n), g, mode)
+    ends = [evolve_nlw(RadialState(g, f1p + hc * mode.g, f2p, "perturbation"),
+                       8.0).outcome for hc in (lo, hi)]
+    assert ends == [res.below_outcome, res.above_outcome]
+
+
+def test_find_stable_h_midpoint_without_estimate(monkeypatch):
+    # far from the manifold: the first candidate, 0, is past the linear
+    # regime at its first snapshot, so the next candidate is the midpoint;
+    # later, three candidates in a row land on one side
+    g = make_grid(30.0, 1000)
+    mode = unstable_mode(g)
+    f1 = 0.5 * np.exp(-g.nodes ** 2)
+    f1p, f2p = project_to_sigma0(f1, np.zeros(g.n), g, mode)
+    first = RadialState(g, f1p, f2p, "perturbation")
+    assert abs(evolve_nlw(first, 20.0).n_plus_series[1]) > 2e-3
+    seen = []
+
+    def spy(initial, t_final, config):
+        seen.append((initial.u, _classify(initial, t_final, config)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(dynamics, "_classify", spy)
+    res = find_stable_h(f1, np.zeros(g.n), g, bracket_width=0.05, tol=0.0,
+                        t_horizon=20.0)
+    assert np.array_equal(seen[2][0], f1p + 0.0 * mode.g)
+    assert seen[2][1] == (res.above_outcome, None)
+    assert np.array_equal(seen[3][0], f1p - 0.025 * mode.g)
+    lo, hi = res.bracket_final
+    assert lo < hi and 0.5 * (lo + hi) in (lo, hi)
+    assert 0 < res.n_estimate_runs < res.n_runs - 3
+    twin = full_run_stable_h_search(f1, np.zeros(g.n), g, 0.05, 20.0)
+    assert (res.h_star, res.bracket_final, res.n_runs,
+            res.n_estimate_runs) == (twin[0], twin[1], twin[4], twin[5])
 
 
 def test_early_stopped_outcome_matches_evolve_nlw(dyn_grid, mode40):
@@ -512,7 +577,7 @@ def test_early_stopped_outcome_matches_evolve_nlw(dyn_grid, mode40):
     outcomes = set()
     for hc in candidates:
         st = RadialState(dyn_grid, f1 + hc * mode40.g, f2, "perturbation")
-        out = _classify(st, 25.0, EvolveConfig())
+        out = _classify(st, 25.0, EvolveConfig())[0]
         assert out == evolve_nlw(st, 25.0).outcome
         outcomes.add(out)
     assert outcomes == {"blowup", "dispersal"}

@@ -111,6 +111,16 @@ def test_count_nodes_exact_zero_step():
     assert count_nodes(op, energy) == count_eigenvalues_below(op, energy)
 
 
+def test_count_eigenvalues_below_skips_pinned_row():
+    # for l = 1 the pinned row's diagonal lies below diagonal[0]; only the
+    # interior block counts, as for the nodes
+    g = make_grid(30.0, 600)
+    op = assemble_channel_operator(g, 1, aubin_values(1.0, g)["potential"])
+    energy = op.diagonal[0]
+    assert op.diagonal[-1] < energy
+    assert count_eigenvalues_below(op, energy) == count_nodes(op, energy) == 562
+
+
 def test_count_nodes_deep_energy_matches_sturm(nlw_op):
     # at E = -1e4 the prefix is renormalized many times, until w[0]
     # underflows to +0

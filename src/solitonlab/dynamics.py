@@ -238,6 +238,8 @@ def _time_grid(grid: RadialGrid, t_final: float, dt, config: EvolveConfig):
     h = grid.h
     if dt is None:
         dt = config.dt_factor * h
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     if dt > 0.9 * h + 1e-15:
         raise ValueError(f"dt = {dt} violates the CFL bound 0.9 h = {0.9 * h}")
     n_steps = max(1, int(round(t_final / dt)))

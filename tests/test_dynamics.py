@@ -448,6 +448,17 @@ def test_evolve_nlw_rejects_nonpositive_t_final(dyn_grid):
             evolve_nlw(state, t_final)
 
 
+@pytest.mark.parametrize("dt, dt_factor", [
+    (-0.01, 0.9), (0.0, 0.9), (np.nan, 0.9), (-np.inf, 0.9),
+    (None, -0.5), (None, 0.0), (None, np.nan),
+])
+def test_evolve_nlw_rejects_nonpositive_dt(dyn_grid, dt, dt_factor):
+    state = RadialState(dyn_grid, np.zeros(dyn_grid.n), np.zeros(dyn_grid.n),
+                        "perturbation")
+    with pytest.raises(ValueError, match="dt must be positive"):
+        evolve_nlw(state, 5.0, dt=dt, config=EvolveConfig(dt_factor=dt_factor))
+
+
 def test_find_stable_h_zero_data_gives_zero(dyn_grid):
     res = find_stable_h(np.zeros(dyn_grid.n), np.zeros(dyn_grid.n), dyn_grid,
                         bracket_width=0.02, tol=1e-9, t_horizon=25.0)

@@ -181,6 +181,35 @@ def test_leapfrog_numpy_matches_reference(mode, amp, psi_cap):
         assert np.array_equal(a, b, equal_nan=True)
 
 
+@pytest.mark.parametrize("mode", [0, 1])
+@pytest.mark.parametrize("cap", ["above", "equal", "fine_grid"])
+def test_leapfrog_cap_fallback_matches_reference(mode, cap):
+    # the fast amplitude test on tot^2 fails at every step of these runs, so
+    # each step takes the exact max |psi| <= cap test: at a cap a little
+    # above the largest |psi| the run reaches, exactly at it (the test is
+    # >, so the run does not stop), and with the default cap on a grid so
+    # fine that (cap r_1)^2 is below the background's w^2
+    n, n_steps = (20000, 30) if cap == "fine_grid" else (1000, 120)
+    case = _leapfrog_case(mode, n=n, n_steps=n_steps, stride=n_steps)
+    g, w0, v0, w_bg, args, _ = case
+    inv_r = args[0]
+    psi_cap = 1e3
+    if cap != "fine_grid":
+        every = _leapfrog_case(mode, n=n, n_steps=n_steps, stride=1)
+        _, w_all, _ = _run_leapfrog(leapfrog_numpy_reference, every, np.inf)
+        tot = w_all[1:, :-1] + (w_bg[:-1] if mode == 1 else 0.0)
+        psi_max = float(np.abs(tot * inv_r[:-1]).max())
+        psi_cap = psi_max * (1 + 1e-9) if cap == "above" else psi_max
+    else:
+        tot = w0[:-1] + (w_bg[:-1] if mode == 1 else 0.0)
+    assert (tot * tot).max() > (psi_cap * g.nodes[0]) ** 2
+    new = _run_leapfrog(K.leapfrog, case, psi_cap)
+    ref = _run_leapfrog(leapfrog_numpy_reference, case, psi_cap)
+    assert new[0] == ref[0] == (2, n_steps, 0)
+    for a, b in zip(new[1:], ref[1:]):
+        assert np.array_equal(a, b)
+
+
 def test_leapfrog_blowup_detection():
     g = make_grid(20.0, 400)
     r = g.nodes

@@ -30,6 +30,7 @@ from .spectral import negative_eigenpairs
 
 _BACKGROUND_CACHE = {}
 _MODE_CACHE = {}
+_CFL = 0.9  # the default step is _CFL h, also the largest one accepted
 
 
 def nonlinearity_N(u, phi):
@@ -38,25 +39,24 @@ def nonlinearity_N(u, phi):
         + 5.0 * u ** 4 * phi + u ** 5
 
 
-def static_background(grid: RadialGrid, a: float = 1.0,
-                      tol: float = 1e-12) -> np.ndarray:
+def static_background(grid: RadialGrid) -> np.ndarray:
     """Newton-polished discrete static profile w with D2 w + w^5/r^4 = 0.
 
-    Iterates from the closed-form samples r phi(r, a) with the last node
-    frozen; the result differs from the samples by O(h^2) and is the
-    attractor the discrete dynamics actually settles on.
+    Iterates from r phi(r, 1) with the last node frozen to a residual of
+    1e-12 (or its rounding floor); the result differs from the samples by
+    O(h^2) and is the attractor the discrete dynamics actually settles on.
     """
-    key = (grid.r_max, grid.n, a)
+    key = (grid.r_max, grid.n)
     if key in _BACKGROUND_CACHE:
         return _BACKGROUND_CACHE[key]
     r = grid.nodes
     h2 = grid.h ** 2
     inv_r4 = 1.0 / r ** 4
     n = grid.n
-    w = r * aubin_phi(r, a)
+    w = r * aubin_phi(r, 1.0)
     # the residual's rounding floor scales like eps/h^2 (Laplacian cancellation)
     floor = 20.0 * np.finfo(float).eps / h2 * np.abs(w).max()
-    target = max(tol, floor)
+    target = max(1e-12, floor)
     nr = math.inf
     for _ in range(30):
         wm = np.concatenate(([0.0], w[:-1]))
@@ -83,21 +83,21 @@ def static_background(grid: RadialGrid, a: float = 1.0,
 
 @dataclass(frozen=True)
 class UnstableMode:
-    """Ground-state data of H(a): rate k and unit ground state g (3d radial)."""
+    """Ground-state data of H(1): rate k and unit ground state g (3d radial)."""
 
     k: float
     g: np.ndarray = field(repr=False)
 
 
-def unstable_mode(grid: RadialGrid, a: float = 1.0) -> UnstableMode:
-    """k and g with H(a) g = -k^2 g, normalized to unit L^2(R^3) norm."""
-    key = (grid.r_max, grid.n, a)
+def unstable_mode(grid: RadialGrid) -> UnstableMode:
+    """k and g with H(1) g = -k^2 g, normalized to unit L^2(R^3) norm."""
+    key = (grid.r_max, grid.n)
     if key in _MODE_CACHE:
         return _MODE_CACHE[key]
-    op = assemble_channel_operator(grid, 0, aubin_potential(grid.nodes, a))
+    op = assemble_channel_operator(grid, 0, aubin_potential(grid.nodes, 1.0))
     pairs = negative_eigenpairs(op)
     if not pairs:
-        raise ConvergenceError(f"no negative eigenvalue found for a = {a}")
+        raise ConvergenceError("no negative eigenvalue found for a = 1")
     e, w_g = pairs[0].energy, pairs[0].vector
     g3d = w_g / grid.nodes
     g3d = g3d / math.sqrt(4.0 * np.pi * integrate(grid, (grid.nodes * g3d) ** 2))
@@ -135,27 +135,15 @@ class RadialState:
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Thresholds and observables for evolve_nlw (all reported in results).
+    """Snapshot spacing and exit threshold of evolve_nlw.
 
-    blow_factor: amplitude cap as a multiple of phi(0, 1).
+    stride_time: time between recorded snapshots.
     exit_n_plus: |n_plus| beyond which the run has left the soliton
       neighborhood; the sign labels the side (positive: blowup branch).
-    settle_frac/settle_duration: the dispersal trigger of a perturbation
-      that has left the core, sup_{r<=1}|psi - phi| below settle_frac times
-      the initial perturbation sup, sustained for settle_duration.
-    stationary_tol: sup drift from the initial state below which a run that
-      never moved is labelled stationary.
     """
 
-    dt_factor: float = 0.9
     stride_time: float = 0.25
-    blow_factor: float = 1e3
     exit_n_plus: float = 0.2
-    settle_frac: float = 0.1
-    settle_duration: float = 5.0
-    stationary_tol: float = 0.01
-    local_radius: float = 5.0
-    background_a: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -232,16 +220,16 @@ class _Run:
 
 
 def _time_grid(grid: RadialGrid, t_final: float, dt, config: EvolveConfig):
-    """(dt, n_steps, stride) of a run; dt defaults to config.dt_factor h."""
+    """(dt, n_steps, stride) of a run; dt defaults to _CFL h."""
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     h = grid.h
     if dt is None:
-        dt = config.dt_factor * h
+        dt = _CFL * h
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if dt > 0.9 * h + 1e-15:
-        raise ValueError(f"dt = {dt} violates the CFL bound 0.9 h = {0.9 * h}")
+    if dt > _CFL * h + 1e-15:
+        raise ValueError(f"dt = {dt} violates the CFL bound {_CFL} h = {_CFL * h}")
     n_steps = max(1, int(round(t_final / dt)))
     stride = max(1, int(round(config.stride_time / dt)))
     return dt, n_steps, stride
@@ -251,16 +239,19 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
           early_exit: bool = False) -> _Run:
     """Leapfrog core shared by evolve_nlw and the stable-manifold search.
 
-    With early_exit the stepper stops at the first snapshot whose |n_plus|
-    exceeds config.exit_n_plus, where the outcome is fixed.
+    Background a = 1, amplitude cap 1e3 phi(0, 1); ValueError for non-finite
+    data.  With early_exit the stepper stops at the first snapshot whose
+    |n_plus| exceeds config.exit_n_plus, where the outcome is fixed.
     """
+    if not (np.isfinite(initial.u).all() and np.isfinite(initial.ut).all()):
+        raise ValueError("initial data must be finite")
     grid = initial.grid
     r = grid.nodes
     h = grid.h
     n = grid.n
     dt, n_steps, stride = _time_grid(grid, t_final, dt, config)
-    w_bg = static_background(grid, config.background_a)
-    mode = unstable_mode(grid, config.background_a)
+    w_bg = static_background(grid)
+    mode = unstable_mode(grid)
 
     if initial.frame == "full":
         y0 = r * initial.u - w_bg
@@ -271,7 +262,7 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
     v0 = r * initial.ut
 
     n_snap = n_steps // stride + 1
-    psi_cap = config.blow_factor * aubin_phi(0.0, config.background_a)
+    psi_cap = 1e3 * aubin_phi(0.0, 1.0)
 
     w_snap = np.zeros((n_snap, n))
     v_snap = np.zeros((n_snap, n))
@@ -299,9 +290,10 @@ def _outcome(run: _Run, config: EvolveConfig):
     """(outcome, blowup_time, exit_time) of a run.
 
     The amplitude cap means blowup; otherwise the first snapshot with
-    |n_plus| > exit_n_plus decides by the sign of n_plus; otherwise the
-    settle rule can call dispersal, and a run that never moved is
-    stationary.
+    |n_plus| > exit_n_plus decides by the sign of n_plus.  Otherwise a run
+    is dispersal once sup_{r<=1} |psi - phi| has stayed below 0.1 of the
+    initial perturbation sup for 5 time units, and stationary when psi
+    never moved more than 0.01 from its initial state.
     """
     if run.reason in (1, 2):
         return "blowup", run.stop_step * run.dt, math.nan
@@ -314,15 +306,15 @@ def _outcome(run: _Run, config: EvolveConfig):
     if init_sup > 0.0:
         core = r <= 1.0
         core_dev = np.abs(run.pert_w[:, core] / r[core]).max(axis=1)
-        settled = core_dev < config.settle_frac * init_sup
-        need = max(1, int(round(config.settle_duration / (run.stride * run.dt))))
+        settled = core_dev < 0.1 * init_sup
+        need = max(1, int(round(5.0 / (run.stride * run.dt))))
         streak = 0
         for j, s in enumerate(settled):
             streak = streak + 1 if s else 0
             if streak >= need and abs(n_plus[j]) < config.exit_n_plus:
                 return "dispersal", math.nan, run.times[j]
     psi = run.psi
-    if np.abs(psi - psi[0]).max() <= config.stationary_tol:
+    if np.abs(psi - psi[0]).max() <= 0.01:
         return "stationary", math.nan, math.nan
     return "undecided", math.nan, math.nan
 
@@ -366,16 +358,16 @@ def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
 
     Full-frame states advance the field itself; perturbation-frame states
     advance the deviation from the static background with exact background
-    cancellation.  Records sup |psi - phi|, energy, the local energy inside
-    config.local_radius, and the unstable-mode amplitude n_plus at every
-    output stride, then classifies the outcome (stationary / dispersal /
-    blowup / undecided).
+    cancellation.  dt defaults to the CFL step 0.9 h.  Records sup
+    |psi - phi|, energy, the local energy inside r <= 5, and the
+    unstable-mode amplitude n_plus at every output stride, then classifies
+    the outcome (stationary / dispersal / blowup / undecided; see _outcome).
     """
     run = _step(initial, t_final, dt, config)
     grid = initial.grid
     r = grid.nodes
     ip = 4.0 * np.pi
-    loc = (r <= config.local_radius).astype(float)
+    loc = (r <= 5.0).astype(float)
     local_energy = np.array([
         ip * integrate(grid, 0.5 * loc * (vv ** 2 + ww ** 2))
         for ww, vv in zip(run.pert_w, run.V)])
@@ -521,16 +513,16 @@ def _min_fit_horizon(dt: float, stride: int) -> float:
     return float(inside[2]) if inside.size >= 3 else math.inf
 
 
-def _near_manifold_span(traj: Trajectory, frac: float = 0.3) -> float:
+def _near_manifold_span(traj: Trajectory) -> float:
     """Last time before the unstable-mode content pollutes the sup norm.
 
     The growing mode contributes on the order of |n_plus| to sup|u| (the
-    unit-normalized ground state has O(1) sup); once that reaches frac of
+    unit-normalized ground state has O(1) sup); once that reaches 0.3 of
     the measured sup norm the trajectory is no longer following the
     manifold decay.
     """
     mode_part = np.abs(traj.n_plus_series)
-    bad = mode_part > frac * np.maximum(traj.sup_norms, 1e-300)
+    bad = mode_part > 0.3 * np.maximum(traj.sup_norms, 1e-300)
     bad[0] = False
     if not bad.any():
         return float(traj.times[-1])
@@ -539,8 +531,7 @@ def _near_manifold_span(traj: Trajectory, frac: float = 0.3) -> float:
 
 def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
                   bracket_width: float = 0.05, tol: float = 0.0,
-                  t_horizon: float = 30.0,
-                  config: EvolveConfig = EvolveConfig()) -> StableManifoldResult:
+                  t_horizon: float = 30.0) -> StableManifoldResult:
     """The ground-state correction h* separating blowup from dispersal.
 
     Data (f1 + h g, f2) ride on the discrete static profile; f1 is first
@@ -548,7 +539,7 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     The bracket must produce distinct outcomes at its ends, and it keeps
     them: every candidate replaces the end with its outcome.  Each
     classification run stops at its decision (|n_plus| past
-    config.exit_n_plus, or the amplitude cap) and measures its distance
+    EvolveConfig().exit_n_plus, or the amplitude cap) and measures its distance
     from the manifold, n_plus(t) ~ e^{kt} (h - h*)/2 (see _classify).  The
     first candidate is the midpoint.  Each later one is the last run's
     estimate of h* when it lies strictly inside the bracket, and the
@@ -569,9 +560,14 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     where the unstable-mode content is still small against the dispersive
     sup norm; the window used is reported in the result, and so are the
     runs (n_runs) and how many candidates were estimates (n_estimate_runs).
-    A horizon too short to give the decay fit 3 snapshots in [5, 7] is
-    rejected with ValueError before the first run.
+    A bracket_width that is not positive and finite, and a horizon too
+    short to give the decay fit 3 snapshots in [5, 7], are rejected with
+    ValueError before the first run.
     """
+    if not 0.0 < bracket_width < math.inf:
+        raise ValueError(
+            f"bracket_width must be positive and finite, got {bracket_width}")
+    config = EvolveConfig()
     dt, n_steps, stride = _time_grid(grid, t_horizon, None, config)
     t_need = _min_fit_horizon(dt, stride)
     if (n_steps // stride) * stride * dt < t_need:
@@ -579,7 +575,7 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
             f"t_horizon = {t_horizon:g} leaves fewer than 3 snapshots in the "
             f"decay-fit window [{_DECAY_START:g}, {_DECAY_MIN_END:g}]; the "
             f"minimum horizon is {t_need:g}")
-    mode = unstable_mode(grid, config.background_a)
+    mode = unstable_mode(grid)
     f1p, f2p = project_to_sigma0(np.asarray(f1, float), np.asarray(f2, float),
                                  grid, mode)
 

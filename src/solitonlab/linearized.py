@@ -69,11 +69,11 @@ def assemble_linearized_pair(profile: NlsGroundState,
     return LinearizedPair(profile=profile, L_plus=lp, L_minus=lm, alpha_sq=a2)
 
 
-def gap_scan(pair: LinearizedPair, low_cut_frac: float = 0.01) -> GapReport:
+def gap_scan(pair: LinearizedPair) -> GapReport:
     """Search (0, alpha^2] for eigenvalues and edge resonances of L_plus/minus.
 
-    Eigenvalues between low_cut_frac * alpha^2 (excluding the symmetry
-    kernels that sit at 0 up to discretization) and the edge come from one
+    Eigenvalues between 0.01 alpha^2 (excluding the symmetry kernels that
+    sit at 0 up to discretization) and the edge come from one
     LAPACK bisection over that window per operator and channel; the edge
     itself is probed by the tail asymptote of the edge-energy regular
     solution, which also exposes weakly bound states whose decay length
@@ -81,7 +81,7 @@ def gap_scan(pair: LinearizedPair, low_cut_frac: float = 0.01) -> GapReport:
     crossing).
     """
     a2 = pair.alpha_sq
-    lo = low_cut_frac * a2
+    lo = 0.01 * a2
     eigs = {"L_plus": {}, "L_minus": {}}
     flags = {"L_plus": {}, "L_minus": {}}
     holds = True
@@ -124,8 +124,12 @@ def sigma_star(bracket, tol: float = 1e-3,
     """Bisect sigma for the gap-property breakdown point.
 
     Requires the gap to fail at bracket[0] and hold at bracket[1]; each
-    evaluation shoots a fresh ground state on the configured grid.
+    evaluation shoots a fresh ground state on the configured grid.  Stops
+    at width tol or at float64 resolution; a nan or negative tol raises
+    ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"empty bracket ({lo}, {hi})")
@@ -135,6 +139,8 @@ def sigma_star(bracket, tol: float = 1e-3,
         raise BracketError(f"gap still fails at sigma = {hi}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if gap_holds_at(mid, config):
             hi = mid
         else:
@@ -163,11 +169,10 @@ def weinstein_h(pair: LinearizedPair, mu: float) -> float:
     return 4.0 * np.pi * integrate(g, x * w_phi)
 
 
-def weinstein_h_from_scaling(pair: LinearizedPair,
-                             rel_step: float = 1e-4) -> float:
+def weinstein_h_from_scaling(pair: LinearizedPair) -> float:
     """The identity route h(0) = -(1/2 alpha) <d_alpha phi, phi>."""
     p = pair.profile
-    dphi = d_alpha_ground_state(p, rel_step)
+    dphi = d_alpha_ground_state(p)
     return -0.5 / p.alpha * inner_3d(p.grid, dphi, p.samples)
 
 

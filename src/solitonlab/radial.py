@@ -35,8 +35,8 @@ class RadialGrid:
 
 def make_grid(r_max: float, n: int) -> RadialGrid:
     """Build the uniform half-line grid on (0, r_max] with n nodes."""
-    if not r_max > 0.0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
+    if not 0.0 < r_max < np.inf:
+        raise ValueError(f"r_max must be positive and finite, got {r_max}")
     if n < 16:
         raise ValueError(f"need at least 16 nodes, got {n}")
     h = r_max / n

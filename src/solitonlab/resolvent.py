@@ -36,14 +36,14 @@ class SingularFamily:
         return self.A0 + z * self.A1(z)
 
 
-def singular_family(A0: np.ndarray, A1, kernel_tol: float = 1e-10) -> SingularFamily:
-    """Build a SingularFamily, computing S from the near-null space of A0."""
+def singular_family(A0: np.ndarray, A1) -> SingularFamily:
+    """Build a SingularFamily; ker A0 is where |eigenvalue| <= 1e-10 max(1, |A0|)."""
     A0 = np.asarray(A0, dtype=float)
     sym = np.abs(A0 - A0.T).max()
     if sym > 1e-12 * max(1.0, np.abs(A0).max()):
         raise ValueError(f"A0 is not symmetric (defect {sym:.2e})")
     vals, vecs = np.linalg.eigh(A0)
-    null = np.abs(vals) <= kernel_tol * max(1.0, np.abs(vals).max())
+    null = np.abs(vals) <= 1e-10 * max(1.0, np.abs(vals).max())
     rank = int(null.sum())
     if rank == 0:
         raise ValueError("A0 has no kernel; the plain inverse applies")
@@ -96,15 +96,14 @@ def jensen_nenciu_invert(family: SingularFamily, z) -> dict:
     return {"A_inv": A_inv, "B": B}
 
 
-def symmetric_resolvent(R0: np.ndarray, V: np.ndarray, z,
-                        singular_tol: float = 0.05) -> np.ndarray:
+def symmetric_resolvent(R0: np.ndarray, V: np.ndarray, z) -> np.ndarray:
     """R_V = R0 - R0 v (U + v R0 v)^{-1} v R0 with V = v^2 U, U = sign V.
 
     R0 is the free resolvent at z as a matrix on the same discretization.
     The inner operator U + v R0 v has its scale anchored at 1 by the sign
-    matrix; a smallest singular value below singular_tol signals a
-    zero-energy eigenvalue or resonance of -Lap + V (the discrete shadow of
-    the inversion obstruction), raised as ZeroEnergyObstruction.
+    matrix; a smallest singular value below 0.05 signals a zero-energy
+    eigenvalue or resonance of -Lap + V (the discrete shadow of the
+    inversion obstruction), raised as ZeroEnergyObstruction.
     """
     V = np.asarray(V, dtype=float)
     v = np.sqrt(np.abs(V))
@@ -112,7 +111,7 @@ def symmetric_resolvent(R0: np.ndarray, V: np.ndarray, z,
     U[U == 0.0] = 1.0
     inner = np.diag(U) + v[:, None] * R0 * v[None, :]
     smin = np.linalg.svd(inner, compute_uv=False)[-1]
-    if smin < singular_tol:
+    if smin < 0.05:
         raise ZeroEnergyObstruction(
             f"U + v R0 v numerically singular (smallest singular value "
             f"{smin:.2e}): zero energy is an eigenvalue or resonance")
@@ -195,16 +194,15 @@ def zero_energy_green_matrix(grid: RadialGrid) -> np.ndarray:
 
 
 def classify_zero_mode(V: np.ndarray, f: np.ndarray, grid: RadialGrid,
-                       ell: int = 0, residual_tol: float = 1e-5,
-                       v_tol: float = 1e-3) -> dict:
+                       ell: int = 0) -> dict:
     """Classify a numerical zero mode f of -Lap + V (channel ell).
 
     v_integral is the integral of V f over R^3; for ell >= 1 it vanishes
     identically by angular orthogonality.  The resonance/eigenvalue split
     follows the decay criterion: |x|^{-1} tail with nonvanishing integral
-    versus |x|^{-2} (or faster) tail with vanishing integral.
-    Raises NotAZeroModeError when the channel operator applied to r f does
-    not vanish at discretization level.
+    (above 1e-3 of the integral of |V f|) versus |x|^{-2} (or faster) tail
+    with vanishing integral.  Raises NotAZeroModeError when the channel
+    operator applied to r f leaves a relative residual above 1e-5.
     """
     V = np.asarray(V, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -216,13 +214,12 @@ def classify_zero_mode(V: np.ndarray, f: np.ndarray, grid: RadialGrid,
     res = apply_operator(op, w)
     interior = slice(0, grid.n - 2)
     rel = np.abs(res[interior]).max() / (scale * np.abs(op.diagonal).max())
-    if rel > residual_tol:
-        raise NotAZeroModeError(
-            f"relative residual {rel:.2e} exceeds {residual_tol:.0e}")
+    if rel > 1e-5:
+        raise NotAZeroModeError(f"relative residual {rel:.2e} exceeds 1e-5")
     if ell == 0:
         v_int = inner_3d(grid, V, f)
         v_scale = 4.0 * np.pi * integrate(grid, np.abs(V * f) * grid.nodes ** 2)
-        significant = abs(v_int) > v_tol * max(v_scale, 1e-300)
+        significant = abs(v_int) > 1e-3 * max(v_scale, 1e-300)
     else:
         v_int = 0.0
         significant = False

@@ -47,8 +47,9 @@ def aubin_potential(r, a: float):
 
 def aubin_values(a: float, grid: RadialGrid) -> dict:
     """Sample phi, d_a phi, and V = -5 phi^4 on the grid."""
-    if not a > 0.0:
-        raise ValueError(f"dilation parameter must be positive, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(
+            f"dilation parameter must be positive and finite, got {a}")
     r = grid.nodes
     return {
         "phi": aubin_phi(r, a),
@@ -194,10 +195,9 @@ def ground_state_mass(profile: NlsGroundState) -> float:
     return 2.0 * integrate(g, profile.samples ** 2)
 
 
-def d_alpha_ground_state(profile: NlsGroundState,
-                         rel_step: float = 1e-4) -> np.ndarray:
-    """d phi / d alpha by centered differencing of freshly shot profiles."""
-    da = rel_step * profile.alpha
+def d_alpha_ground_state(profile: NlsGroundState) -> np.ndarray:
+    """d phi / d alpha by centered differencing (step 1e-4 alpha) of fresh shots."""
+    da = 1e-4 * profile.alpha
     up = nls_ground_state(profile.sigma, profile.alpha + da, profile.d,
                           profile.grid)
     dn = nls_ground_state(profile.sigma, profile.alpha - da, profile.d,
@@ -205,8 +205,7 @@ def d_alpha_ground_state(profile: NlsGroundState,
     return (up.samples - dn.samples) / (2.0 * da)
 
 
-def profile_tail_slope(grid: RadialGrid, samples: np.ndarray,
-                       lo_frac: float = 0.5, hi_frac: float = 1.0) -> float:
-    """Log-log tail slope of |samples| over [lo_frac, hi_frac] * r_max."""
-    win = (grid.nodes >= lo_frac * grid.r_max) & (grid.nodes <= hi_frac * grid.r_max)
+def profile_tail_slope(grid: RadialGrid, samples: np.ndarray) -> float:
+    """Log-log tail slope of |samples| over [0.5 r_max, r_max]."""
+    win = (grid.nodes >= 0.5 * grid.r_max) & (grid.nodes <= grid.r_max)
     return fit_loglog_slope(grid.nodes[win], samples[win])

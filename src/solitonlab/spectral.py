@@ -26,6 +26,10 @@ from .errors import ConvergenceError, NumericsError, TailFitError
 from .radial import (ChannelOperator, RadialGrid, apply_operator,
                      fit_loglog_slope, integrate)
 
+# tail fits on [_TAIL_WINDOW r_max, r_max]; coefficients below _TAIL_THRESHOLD vanish
+_TAIL_WINDOW = 0.7
+_TAIL_THRESHOLD = 1e-3
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -82,18 +86,17 @@ def regular_solution(op: ChannelOperator, energy: float) -> np.ndarray:
     return shoot_solution(op.diagonal * h2, energy * h2)
 
 
-def eigenvalue_by_index(op: ChannelOperator, index: int,
-                        tol: float = 1e-13) -> float:
+def eigenvalue_by_index(op: ChannelOperator, index: int) -> float:
     """The index-th smallest eigenvalue (0-based) by Sturm bisection.
 
     Bisects the Gershgorin interval with sturm_count (Barth, Martin and
-    Wilkinson 1967) until the bracket is narrower than `tol` or its
-    midpoint rounds to an end, so an eigenvalue whose ulp exceeds `tol`
+    Wilkinson 1967) until the bracket is narrower than 1e-13 or its
+    midpoint rounds to an end, so an eigenvalue whose ulp exceeds 1e-13
     still ends the search.
     """
     bound = float(np.max(np.abs(op.diagonal)) + 2.0 / op.h ** 2)
     lo, hi = -bound, bound
-    while hi - lo > tol:
+    while hi - lo > 1e-13:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -150,36 +153,33 @@ def _tail_fit(r, w, basis):
     return coef, resid
 
 
-def zero_energy_diagnosis(op: ChannelOperator, window: float = 0.7,
-                          threshold: float = 1e-3,
-                          band: float = None) -> ZeroEnergyDiagnosis:
+def zero_energy_diagnosis(op: ChannelOperator) -> ZeroEnergyDiagnosis:
     """Integrate the zero-energy regular solution outward and classify it.
 
-    The tail on [window * r_max, r_max] is fitted against {r, 1, 1/r}
-    after normalizing the solution to unit sup there:
+    The tail on [0.7 r_max, r_max] is fitted against {r, 1, 1/r} after
+    normalizing the solution to unit sup there:
 
-      resonance    |c_r| below threshold, |c_1| above
-      eigenvalue   |c_r| and |c_1| both below threshold
+      resonance    |c_r| below 1e-3, |c_1| above
+      eigenvalue   |c_r| and |c_1| both below 1e-3
       none         otherwise (generic linear growth)
 
     A discrete zero mode does not sit exactly at 0 but at O(h^2); shooting
     at exactly 0 then picks up the growing branch, which pollutes the tail
-    on any window.  When the operator has an eigenvalue inside (-band,
-    band) - with band chosen below the first truncation ("box") level
-    (pi/r_max)^2 - the shot is taken at that eigenvalue instead.
+    on any window.  When the operator has an eigenvalue within
+    min(1e-3, 0.4 (pi/r_max)^2) of 0, below the first truncation ("box")
+    level (pi/r_max)^2, the shot is taken at that eigenvalue instead.
 
     Raises TailFitError when the fit residual exceeds 5% of the window sup
     (enlarge r_max).
     """
     g = op.grid
-    if band is None:
-        band = min(1e-3, 0.4 * (np.pi / g.r_max) ** 2)
+    band = min(1e-3, 0.4 * (np.pi / g.r_max) ** 2)
     in_band = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
                                select="v", select_range=(-band, band),
                                tol=1e-300)
     energy = float(in_band[0]) if in_band.size else 0.0
     w = regular_solution(op, energy)
-    mask = g.nodes >= window * g.r_max
+    mask = g.nodes >= _TAIL_WINDOW * g.r_max
     r_win = g.nodes[mask]
     scale = np.abs(w[mask]).max()
     if scale == 0.0:
@@ -206,9 +206,9 @@ def zero_energy_diagnosis(op: ChannelOperator, window: float = 0.7,
                                    np.abs(w[slope_mask] / scale) + 1e-300)
     if in_band.size and decay_slope < -0.5:
         kind = "eigenvalue"
-    elif abs(c_r) < threshold and abs(c_1) > threshold:
+    elif abs(c_r) < _TAIL_THRESHOLD and abs(c_1) > _TAIL_THRESHOLD:
         kind = "resonance"
-    elif abs(c_r) < threshold and abs(c_1) <= threshold:
+    elif abs(c_r) < _TAIL_THRESHOLD and abs(c_1) <= _TAIL_THRESHOLD:
         kind = "eigenvalue"
     else:
         kind = "none"
@@ -219,25 +219,25 @@ def zero_energy_diagnosis(op: ChannelOperator, window: float = 0.7,
                                v_integral=v_int, fit_residual=resid)
 
 
-def edge_diagnosis(op: ChannelOperator, edge: float,
-                   window: float = 0.7, threshold: float = 1e-3) -> dict:
+def edge_diagnosis(op: ChannelOperator, edge: float) -> dict:
     """Tail diagnosis of the regular solution at the essential-spectrum edge.
 
     For exponentially short-range potentials the edge-energy solution is
-    asymptotically c_1 + c_r r.  Reports the resonance flag (bounded
-    solution: c_r negligible) and whether the fitted asymptote crosses zero
-    beyond r_max, which signals a weakly bound eigenvalue the truncated
-    interval cannot resolve (crossing radius ~ 1/binding rate).
+    asymptotically c_1 + c_r r, fitted on [0.7 r_max, r_max].  Reports the
+    resonance flag (bounded solution: |c_r| r_max below 1e-3 |c_1|) and
+    whether the fitted asymptote crosses zero beyond r_max, which signals
+    a weakly bound eigenvalue the truncated interval cannot resolve
+    (crossing radius ~ 1/binding rate).
     """
     g = op.grid
     w = regular_solution(op, edge)
     ncross = _count_sign_changes(w)
-    mask = g.nodes >= window * g.r_max
+    mask = g.nodes >= _TAIL_WINDOW * g.r_max
     r_win = g.nodes[mask]
     scale = np.abs(w[mask]).max()
     w_win = w[mask] / scale
     (c_1, c_r), resid = _tail_fit(r_win, w_win, [np.ones_like, lambda r: r])
-    resonance = abs(c_r) * g.r_max < threshold * abs(c_1)
+    resonance = abs(c_r) * g.r_max < _TAIL_THRESHOLD * abs(c_1)
     hidden_crossing = (c_1 + c_r * g.r_max) * c_r < 0.0 and not resonance
     return {
         "crossings": int(ncross),

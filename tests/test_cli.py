@@ -279,6 +279,16 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     ["evolve", "--n", "400", "--t-final", "0"],
     ["evolve", "--n", "400", "--t-final", "-1"],
     ["mode-ode", "--n", "400", "--dt", "100"],
+    ["sigma-star", "--n", "400", "--tol", "nan"],
+    ["stable-h", "--n", "400", "--bracket-width", "-1"],
+    ["stable-h", "--n", "400", "--bracket-width", "0"],
+    ["stable-h", "--n", "400", "--bracket-width", "nan"],
+    ["stable-h", "--n", "400", "--bracket-width", "inf"],
+    ["bs-count", "--r-max", "inf"],
+    ["classify-mode", "--r-max", "inf"],
+    ["classify-mode", "--a", "inf"],
+    ["evolve", "--n", "400", "--amplitude", "nan"],
+    ["stable-h", "--n", "400", "--eps", "nan"],
 ])
 def test_bad_time_values_exit_2(tmp_path, capsys, args):
     rc, out = run_cli(args, tmp_path, "badtime")

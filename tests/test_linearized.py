@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from solitonlab import linearized
 from solitonlab.errors import BracketError
 from solitonlab.linearized import (SigmaStarConfig, assemble_linearized_pair,
                                    gap_holds_at, gap_scan,
@@ -105,6 +106,33 @@ def test_sigma_star_single_crossing_coarse():
     flips = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
     assert flips == 1
     assert not flags[0] and flags[-1]
+
+
+def test_sigma_star_zero_tol_ends_at_adjacent_floats(monkeypatch):
+    calls = []
+
+    def fake_gap_holds_at(sigma, config):
+        calls.append(sigma)
+        if len(calls) > 200:
+            raise AssertionError("sigma_star is still bisecting")
+        return sigma >= 0.9
+
+    monkeypatch.setattr(linearized, "gap_holds_at", fake_gap_holds_at)
+    val = sigma_star((0.8, 1.0), 0.0)
+    lo = max(s for s in calls if s < 0.9)
+    hi = min(s for s in calls if s >= 0.9)
+    assert np.nextafter(lo, np.inf) == hi
+    assert lo <= val <= hi
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1e-3])
+def test_sigma_star_rejects_nan_or_negative_tol(monkeypatch, tol):
+    def no_gap_evaluation(sigma, config):
+        raise AssertionError("a bad tol must be rejected before any run")
+
+    monkeypatch.setattr(linearized, "gap_holds_at", no_gap_evaluation)
+    with pytest.raises(ValueError, match="tol"):
+        sigma_star((0.8, 1.0), tol)
 
 
 @pytest.mark.slow

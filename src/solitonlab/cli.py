@@ -238,6 +238,10 @@ def cmd_classify_mode(args):
 
 
 def cmd_evolve(args):
+    for t_want in args.snapshots:
+        if not 0.0 <= t_want <= args.t_final:
+            raise ValueError(f"--snapshots time {t_want} is outside "
+                             f"[0, --t-final = {args.t_final}]")
     g = make_grid(args.r_max, args.n)
     r = g.nodes
     u0 = args.amplitude * np.exp(-r ** 2 / args.width ** 2)
@@ -257,6 +261,10 @@ def cmd_evolve(args):
         },
     }
     for t_want in args.snapshots:
+        if t_want > traj.blowup_time:
+            print(f"no snapshot at t = {t_want:g}: the run blew up at "
+                  f"t = {traj.blowup_time:g}", file=sys.stderr)
+            continue
         j = int(np.argmin(np.abs(traj.times - t_want)))
         s = traj.snapshots[j]
         files[f"snapshot_t{traj.times[j]:g}.csv"] = (

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BracketError, ConvergenceError, SingularSolveError
-from .radial import (assemble_channel_operator, inner_3d, integrate,
+from .radial import (assemble_channel_operator, bisect, inner_3d, integrate,
                      make_grid, solve_shifted)
 from .solitons import NlsGroundState, d_alpha_ground_state, nls_ground_state
 from .spectral import (count_eigenvalues_below, edge_diagnosis,
@@ -124,9 +124,9 @@ def sigma_star(bracket, tol: float = 1e-3,
     """Bisect sigma for the gap-property breakdown point.
 
     Requires the gap to fail at bracket[0] and hold at bracket[1]; each
-    evaluation shoots a fresh ground state on the configured grid.  Stops
-    at width tol or at float64 resolution; a nan or negative tol raises
-    ValueError.
+    evaluation shoots a fresh ground state on the configured grid.
+    radial.bisect stops at width tol or at float64 resolution; a nan or
+    negative tol raises ValueError before the first evaluation.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
@@ -137,15 +137,7 @@ def sigma_star(bracket, tol: float = 1e-3,
         raise BracketError(f"gap already holds at sigma = {lo}")
     if not gap_holds_at(hi, config):
         raise BracketError(f"gap still fails at sigma = {hi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if gap_holds_at(mid, config):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return bisect(lambda s: gap_holds_at(s, config), lo, hi, tol)
 
 
 def weinstein_h(pair: LinearizedPair, mu: float) -> float:

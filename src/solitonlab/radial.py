@@ -4,6 +4,7 @@ Everything downstream works with the reduced field w(r) = r f(r) on a
 uniform grid over (0, r_max].  A radial operator -f'' - (2/r) f' + ... in
 three dimensions becomes -w'' + [l(l+1)/r^2 + V(r)] w on the half line with
 a Dirichlet condition at r = 0, which is what ChannelOperator discretizes.
+bisect is the one bisection of the Sturm, ground-state and sigma* searches.
 """
 
 from dataclasses import dataclass, field
@@ -138,3 +139,20 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     ly = np.log(y)
     lx = lx - lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
+def bisect(pred, lo: float, hi: float, tol: float) -> float:
+    """Halve (lo, hi) toward where pred turns true, to width tol or until
+    the midpoint rounds to an end; return the midpoint.  A nan or negative
+    tol raises ValueError before the first pred call."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be nonnegative, got {tol}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

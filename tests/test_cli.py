@@ -127,6 +127,16 @@ def test_evolve_outputs(tmp_path):
     assert any(p.name.startswith("snapshot_t2") for p in out.iterdir())
 
 
+def test_evolve_writes_no_snapshot_past_blowup(tmp_path, capsys):
+    rc, out = run_cli(["evolve", "--snapshots", "5", "10", "--n", "1500",
+                       "--r-max", "30"], tmp_path, "evblow")
+    assert rc == 0
+    assert json.loads((out / "evolve.json").read_text())["outcome"] == "blowup"
+    assert not list(out.glob("snapshot_*.csv"))
+    err = capsys.readouterr().err
+    assert "t = 5" in err and "t = 10" in err
+
+
 def test_mode_ode_outputs(tmp_path):
     rc, out = run_cli(["mode-ode", "--n", "1500", "--dt", "5e-3"],
                       tmp_path, "mo")
@@ -289,6 +299,11 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     ["classify-mode", "--a", "inf"],
     ["evolve", "--n", "400", "--amplitude", "nan"],
     ["stable-h", "--n", "400", "--eps", "nan"],
+    ["stable-h", "--n", "400", "--tol", "nan"],
+    ["stable-h", "--n", "400", "--tol", "-1"],
+    ["evolve", "--n", "400", "--snapshots", "30"],
+    ["evolve", "--n", "400", "--snapshots", "nan"],
+    ["evolve", "--n", "400", "--snapshots", "-1"],
 ])
 def test_bad_time_values_exit_2(tmp_path, capsys, args):
     rc, out = run_cli(args, tmp_path, "badtime")

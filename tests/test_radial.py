@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from solitonlab.radial import (apply_operator, assemble_channel_operator,
-                               integrate, make_grid, solve_shifted)
+                               bisect, integrate, make_grid, solve_shifted)
 from solitonlab.solitons import aubin_dphi_da, aubin_values
 from solitonlab.spectral import count_eigenvalues_below, eigenvalue_by_index
 
@@ -142,3 +142,37 @@ def test_dense_matrix_matches_apply(grid40, rng):
     A = dense_matrix(op)
     v = rng.standard_normal(g.n)
     assert np.allclose(A @ v, apply_operator(op, v), rtol=1e-13, atol=1e-10)
+
+
+@pytest.mark.parametrize("lo, hi, c, tol", [
+    (0.0, 1.0, 0.5, 0.0),
+    (0.0, 1.0, 0.0, 0.0),
+    (-3.0, -2.0, -2.5, 0.0),
+    (-3.0, -2.0, -3.0, 0.0),
+    (-1e300, 1e300, 0.5, 0.0),
+    (-1e300, 1e300, 0.0, 0.0),
+    (5e-324, 1e-300, 1e-310, 0.0),
+    (5e-324, 1e-300, 5e-324, 0.0),
+    # a root whose ulp (7.3e-12) exceeds the tolerance
+    (1e4, 5e4, 42849.8404009237, 1e-12),
+])
+def test_bisect_ends_at_tol_or_float_resolution(lo, hi, c, tol):
+    calls = []
+
+    def pred(x):
+        calls.append(x)
+        if len(calls) > 2100:
+            raise AssertionError("bisect is still halving")
+        return x >= c
+
+    x = bisect(pred, lo, hi, tol)
+    assert abs(x - c) <= max(tol, np.spacing(abs(c)))
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0])
+def test_bisect_rejects_nan_or_negative_tol(tol):
+    def pred(x):
+        raise AssertionError("a bad tol must be rejected before any call")
+
+    with pytest.raises(ValueError, match="tol"):
+        bisect(pred, 0.0, 1.0, tol)

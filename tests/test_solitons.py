@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from solitonlab import solitons
 from solitonlab.radial import (apply_operator, assemble_channel_operator,
                                integrate, make_grid)
 from solitonlab.solitons import (aubin_dphi_da, aubin_phi, aubin_potential,
@@ -146,6 +147,23 @@ def test_ground_state_rejects_bad_args():
         nls_ground_state(2.5, 1.0, 3, g)
     with pytest.raises(ValueError):
         nls_ground_state(1.0, 1.0, 2, g)
+
+
+def test_ground_state_ends_when_ulp_of_center_exceeds_tol(monkeypatch):
+    # phi(0) ~ 4.3e4 has an ulp of 7.3e-12, above the 1e-12 bisection width
+    calls = []
+    shoot = solitons._shoot_once
+
+    def counted_shoot(*args):
+        calls.append(args[0])
+        if len(calls) > 500:
+            raise AssertionError("nls_ground_state is still bisecting")
+        return shoot(*args)
+
+    monkeypatch.setattr(solitons, "_shoot_once", counted_shoot)
+    p = nls_ground_state(0.25, 10.0, 3, make_grid(40.0, 1000))
+    assert np.all(p.samples > 0.0)
+    assert p.decay_rate == pytest.approx(10.0, rel=1e-3)
 
 
 def test_rescale_identity(cubic_profile):

@@ -153,28 +153,29 @@ def rk4_shoot(b, alpha2, sigma, dim, h, n, phi_out):
 
 
 def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
-             n_steps, stride, mode, psi_cap,
+             n_steps, stride, psi_cap,
              w_snap, v_snap, exit_weights=None, k=1.0, exit_n_plus=np.inf):
     """Leapfrog stepper of the reduced radial quintic wave equation.
 
-    mode 0 steps the full reduced field w (w_tt = w_rr + w^5/r^4); mode 1
-    steps the deviation v from the static background w_bg with the
-    background's quintic cancelled analytically, making v == 0 an exact
-    fixed point.  Last node frozen (Dirichlet truncation), phantom w(0)=0.
+    Steps the deviation w from the background w_bg, whose quintic term is
+    cancelled analytically so that w == 0 is an exact fixed point; a zero
+    w_bg steps the full field (w_tt = w_rr + w^5/r^4) bit for bit, as
+    adding 0.0 is exact.  Last node frozen (Dirichlet truncation), phantom
+    w(0)=0.
 
     The run takes n_steps >= 1 steps, the first of them the Taylor start
     from (w0, v0).  Snapshot slot j gets the state at step j*stride, with
     the centered time derivative filled one step later (slot 0 is the
     caller's initial state).  Returns
     (snapshots_written, last_step, reason): reason 0 completed, 1 amplitude
-    cap, 2 non-finite, 3 decided.
+    cap, 2 non-finite, 3 decided.  w0 and v0 are not written.
 
     With exit_weights (4 pi r g times the quadrature weights, with the rate
     k) the run stops with reason 3 at the first snapshot, slot 0 included,
-    whose |n_plus| = |<w', p> + <v, p>/k|/2 exceeds exit_n_plus; w' is the
-    perturbation part of the field; last_step is then that snapshot's step.
+    whose |n_plus| = |<w, p> + <v, p>/k|/2 of the stepped w exceeds
+    exit_n_plus; last_step is then that snapshot's step.
 
-    Each step makes 15 numpy calls (14 in mode 0) into preallocated
+    Each step makes its 15 numpy calls into the run's preallocated
     buffers.  The amplitude test reads the square tot^2 of the field that
     the quintic term needs anyway: max tot^2 <= (cap r_1)^2 (1 - 1e-12),
     with r_1 the smallest radius, bounds |psi| = |tot|/r by the cap at every
@@ -185,9 +186,8 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     n = w0.shape[0]
     dt2 = dt * dt
     bg, ir, ir4 = w_bg[:-1], inv_r[:-1], inv_r4[:-1]
-    if mode == 1:
-        g2 = bg * bg
-        bg5 = g2 * g2 * bg
+    g2 = bg * bg
+    bg5 = g2 * g2 * bg
     # a sup that is inf or nan must fail the fast test even under an infinite cap
     fast_cap = min(psi_cap, np.finfo(float).max)
     edge = float(fast_cap) / float(ir.max())
@@ -201,8 +201,7 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     def decided(w, v):
         if exit_weights is None:
             return False
-        pert = w - w_bg if mode == 0 else w
-        n_plus = 0.5 * (np.dot(pert, exit_weights) + np.dot(v, exit_weights) / k)
+        n_plus = 0.5 * (np.dot(w, exit_weights) + np.dot(v, exit_weights) / k)
         return abs(n_plus) > exit_n_plus
 
     if decided(w0, v0):
@@ -220,7 +219,7 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     step = 0
     while True:
         bf, bh, bt, bi = b
-        u = bh if mode == 0 else np.add(bh, bg, tot)
+        u = np.add(bh, bg, tot)
         np.multiply(u, u, nl)
         if step:
             if not nl.max() <= bound:
@@ -242,8 +241,7 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
 
         np.multiply(nl, nl, nl)
         np.multiply(nl, u, nl)
-        if mode == 1:
-            np.subtract(nl, bg5, nl)
+        np.subtract(nl, bg5, nl)
         np.multiply(nl, ir4, nl)
         np.multiply(bh, 2.0, two_y)
         np.subtract(bt, two_y, lap)

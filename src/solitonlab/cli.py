@@ -242,6 +242,8 @@ def cmd_evolve(args):
         if not 0.0 <= t_want <= args.t_final:
             raise ValueError(f"--snapshots time {t_want} is outside "
                              f"[0, --t-final = {args.t_final}]")
+    if not 0.0 < args.width < math.inf:
+        raise ValueError(f"--width must be positive and finite, got {args.width}")
     g = make_grid(args.r_max, args.n)
     r = g.nodes
     u0 = args.amplitude * np.exp(-r ** 2 / args.width ** 2)
@@ -260,12 +262,19 @@ def cmd_evolve(args):
             "dt": traj.dt,
         },
     }
+    wanted = {}
     for t_want in args.snapshots:
         if t_want > traj.blowup_time:
             print(f"no snapshot at t = {t_want:g}: the run blew up at "
                   f"t = {traj.blowup_time:g}", file=sys.stderr)
             continue
         j = int(np.argmin(np.abs(traj.times - t_want)))
+        wanted.setdefault(j, []).append(t_want)
+    for j, ts in wanted.items():
+        if len(ts) > 1:
+            print(f"t = {', '.join(f'{t:g}' for t in ts)} share one snapshot: "
+                  f"the nearest recorded one is at t = {traj.times[j]:g}",
+                  file=sys.stderr)
         s = traj.snapshots[j]
         files[f"snapshot_t{traj.times[j]:g}.csv"] = (
             ["r", "u", "ut"], [r, s.u - traj.background / r, s.ut])

@@ -177,7 +177,7 @@ def discrete_energy(grid: RadialGrid, w: np.ndarray, wdot: np.ndarray) -> float:
 class _Run:
     """Snapshots of one leapfrog run and how it stopped (see _step).
 
-    W and V hold the reduced field and its velocity at the snapshots
+    W and V hold the stepped field w - bg and its velocity at the snapshots
     written; reason is the stepper's (0 horizon, 1 cap, 2 non-finite,
     3 decided).  The derived series are computed on first use.
     """
@@ -185,7 +185,7 @@ class _Run:
     grid: RadialGrid
     w_bg: np.ndarray
     mode: UnstableMode
-    frame_flag: int
+    bg: np.ndarray
     dt: float
     stride: int
     W: np.ndarray
@@ -199,12 +199,11 @@ class _Run:
 
     @cached_property
     def pert_w(self):
-        return self.W - self.w_bg if self.frame_flag == 0 else self.W
+        return self.W if self.bg is self.w_bg else self.W - self.w_bg
 
     @cached_property
     def psi(self):
-        r = self.grid.nodes
-        return self.W / r if self.frame_flag == 0 else (self.W + self.w_bg) / r
+        return (self.W + self.bg) / self.grid.nodes
 
     @cached_property
     def n_plus(self):
@@ -240,8 +239,10 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
     """Leapfrog core shared by evolve_nlw and the stable-manifold search.
 
     Background a = 1, amplitude cap 1e3 phi(0, 1); ValueError for non-finite
-    data.  With early_exit the stepper stops at the first snapshot whose
-    |n_plus| exceeds config.exit_n_plus, where the outcome is fixed.
+    data.  One stepper: perturbation data step about bg = w_bg, full-field
+    data about bg = 0.  With early_exit the stepper stops at the first
+    snapshot whose |n_plus| exceeds config.exit_n_plus, where the outcome is
+    fixed.
     """
     if not (np.isfinite(initial.u).all() and np.isfinite(initial.ut).all()):
         raise ValueError("initial data must be finite")
@@ -253,12 +254,8 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
     w_bg = static_background(grid)
     mode = unstable_mode(grid)
 
-    if initial.frame == "full":
-        y0 = r * initial.u - w_bg
-        mode_flag = 0
-    else:
-        y0 = r * initial.u
-        mode_flag = 1
+    bg = w_bg if initial.frame == "perturbation" else np.zeros(n)
+    w0 = r * initial.u
     v0 = r * initial.ut
 
     n_snap = n_steps // stride + 1
@@ -266,12 +263,7 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
 
     w_snap = np.zeros((n_snap, n))
     v_snap = np.zeros((n_snap, n))
-
-    if mode_flag == 0:
-        w_work = y0 + w_bg
-    else:
-        w_work = y0.copy()
-    w_snap[0] = w_work
+    w_snap[0] = w0
     v_snap[0] = v0
     inv_r4 = 1.0 / r ** 4
     exit_args = ()
@@ -280,9 +272,9 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
                      config.exit_n_plus)
 
     n_got, stop_step, reason = leapfrog(
-        w_work, v0.copy(), 1.0 / r, inv_r4, w_bg, 1.0 / h ** 2, dt,
-        n_steps, stride, mode_flag, psi_cap, w_snap, v_snap, *exit_args)
-    return _Run(grid, w_bg, mode, mode_flag, dt, stride, w_snap[:n_got],
+        w0, v0, 1.0 / r, inv_r4, bg, 1.0 / h ** 2, dt,
+        n_steps, stride, psi_cap, w_snap, v_snap, *exit_args)
+    return _Run(grid, w_bg, mode, bg, dt, stride, w_snap[:n_got],
                 v_snap[:n_got], stop_step, reason)
 
 
@@ -339,7 +331,8 @@ def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
     <= _LINEAR_N_PLUS; None when no snapshot qualifies.  Snapshot 0 carries
     no information (on find_stable_h's data n_plus(0) = h/2 whatever h* is),
     and nothing after the decision is read, so an early-exit run and a full
-    run give the same offset.
+    run give the same offset.  The early exit reads n_plus of the stepped
+    field, the perturbation of find_stable_h's data.
     """
     run = _step(initial, t_final, None, config, early_exit=True)
     outcome = _outcome(run, config)[0]
@@ -371,12 +364,8 @@ def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
     local_energy = np.array([
         ip * integrate(grid, 0.5 * loc * (vv ** 2 + ww ** 2))
         for ww, vv in zip(run.pert_w, run.V)])
-    if run.frame_flag == 0:
-        energy = np.array([discrete_energy(grid, ww, vv)
-                           for ww, vv in zip(run.W, run.V)])
-    else:
-        energy = np.array([discrete_energy(grid, ww + run.w_bg, vv)
-                           for ww, vv in zip(run.W, run.V)])
+    energy = np.array([discrete_energy(grid, ww + run.bg, vv)
+                       for ww, vv in zip(run.W, run.V)])
     outcome, blowup_time, exit_time = _outcome(run, config)
     snaps = [RadialState(grid, run.psi[j], run.V[j] / r, "full")
              for j in range(len(run.W))]
@@ -404,8 +393,8 @@ def mode_decompose(state: RadialState, g: np.ndarray, k: float) -> ModeDecomposi
     """
     if state.frame != "perturbation":
         raise ValueError("mode_decompose expects a perturbation-frame state")
-    if k <= 0.0:
-        raise ValueError("k must be positive")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     grid = state.grid
     nrm = 4.0 * np.pi * integrate(grid, (grid.nodes * g) ** 2)
     if abs(nrm - 1.0) > 1e-8:
@@ -429,10 +418,10 @@ def _voc_weights(k: float, dt: float):
 
 
 def _mode_series(times, F_plus, k):
-    """times and F_plus as float arrays; ValueError for k <= 0 or fewer
-    than two samples."""
-    if k <= 0.0:
-        raise ValueError("k must be positive")
+    """times and F_plus as float arrays; ValueError for k outside (0, inf)
+    or fewer than two samples."""
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError(f"need at least two time samples, got {times.size}")

@@ -326,6 +326,8 @@ def birman_schwinger_count(potential: np.ndarray, ell_max: int,
         raise ValueError("Birman-Schwinger counting expects V <= 0")
     if not 0.0 <= threshold_eps < 1.0:
         raise ValueError(f"threshold_eps must lie in [0, 1), got {threshold_eps}")
+    if ell_max < 0:
+        raise ValueError(f"ell_max must be non-negative, got {ell_max}")
     support = potential != 0.0
     nodes = grid.nodes[support]
     # at least 1/sqrt(5e-324), about 4.5e161: finite for every nonzero V

@@ -137,6 +137,18 @@ def test_evolve_writes_no_snapshot_past_blowup(tmp_path, capsys):
     assert "t = 5" in err and "t = 10" in err
 
 
+def test_evolve_names_times_sharing_a_snapshot(tmp_path, capsys):
+    # 1 and 1.001 map to the recorded snapshot at t = 1.008 (the run blows
+    # up at t = 2.052, after the snapshot for 2.04)
+    rc, out = run_cli(["evolve", "--snapshots", "2.04", "1", "1.001",
+                       "--n", "1500", "--r-max", "30"], tmp_path, "evshare")
+    assert rc == 0
+    assert sorted(p.name for p in out.glob("snapshot_*.csv")) == [
+        "snapshot_t1.008.csv", "snapshot_t2.016.csv"]
+    err = capsys.readouterr().err
+    assert "1.001" in err and "1.008" in err
+
+
 def test_mode_ode_outputs(tmp_path):
     rc, out = run_cli(["mode-ode", "--n", "1500", "--dt", "5e-3"],
                       tmp_path, "mo")
@@ -304,6 +316,10 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     ["evolve", "--n", "400", "--snapshots", "30"],
     ["evolve", "--n", "400", "--snapshots", "nan"],
     ["evolve", "--n", "400", "--snapshots", "-1"],
+    ["evolve", "--n", "400", "--r-max", "20", "--t-final", "2", "--width", "0"],
+    ["evolve", "--n", "400", "--r-max", "20", "--t-final", "2", "--width", "-1"],
+    ["evolve", "--n", "400", "--r-max", "20", "--t-final", "2", "--width", "inf"],
+    ["bs-count", "--n", "400", "--ell-max", "-1"],
 ])
 def test_bad_time_values_exit_2(tmp_path, capsys, args):
     rc, out = run_cli(args, tmp_path, "badtime")

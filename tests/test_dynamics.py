@@ -268,6 +268,18 @@ def test_mode_ode_needs_two_samples():
         evolve_unstable_mode(np.zeros(1), np.ones(1), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("k", [np.nan, np.inf])
+def test_mode_rate_must_be_positive_and_finite(dyn_grid, mode40, k):
+    ts = np.linspace(0.0, 25.0, 101)
+    with pytest.raises(ValueError, match="positive and finite"):
+        stability_initial_condition(ts, np.exp(-ts), k)
+    with pytest.raises(ValueError, match="positive and finite"):
+        evolve_unstable_mode(ts, np.exp(-ts), k, 0.0)
+    st = RadialState(dyn_grid, mode40.g.copy(), mode40.g.copy(), "perturbation")
+    with pytest.raises(ValueError, match="positive and finite"):
+        mode_decompose(st, mode40.g, k)
+
+
 def test_evolve_unstable_mode_trivial():
     ts = np.linspace(0.0, 10.0, 1001)
     out = evolve_unstable_mode(ts, np.zeros_like(ts), 1.3, 0.0)

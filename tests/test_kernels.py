@@ -112,13 +112,16 @@ def test_rk4_shoot_parity():
 
 
 def _leapfrog_case(mode, n=400, n_steps=200, stride=20):
+    # mode 0 steps the full field (about a zero background), mode 1 the
+    # deviation from the profile w_bg
     g = make_grid(20.0, n)
     r = g.nodes
     w_bg = r * 3 ** 0.25 / np.sqrt(1 + r * r)
     w0 = 0.01 * r * np.exp(-(r - 3) ** 2) + (w_bg if mode == 0 else 0.0)
     v0 = 0.005 * r * np.exp(-r ** 2)
-    args = (1.0 / r, 1.0 / r ** 4, w_bg, 1.0 / g.h ** 2, 0.9 * g.h,
-            n_steps, stride, mode)
+    bg = w_bg if mode == 1 else np.zeros(n)
+    args = (1.0 / r, 1.0 / r ** 4, bg, 1.0 / g.h ** 2, 0.9 * g.h,
+            n_steps, stride)
     exit_weights = 4 * np.pi * r * np.exp(-r) * g.weights
     return g, w0, v0, w_bg, args, exit_weights
 
@@ -134,17 +137,25 @@ def _run_leapfrog(fn, case, psi_cap=1e3, exit_args=()):
     return res, w_snap, v_snap
 
 
+def _reference(mode):
+    """The allocating oracle in its own mode, called as the kernel is: its
+    mode 0 is the full-field equation, which never reads the background."""
+    def ref(*args):
+        return leapfrog_numpy_reference(*args[:9], mode, *args[9:])
+    return ref
+
+
 @pytest.mark.parametrize("mode", [0, 1])
 def test_leapfrog_parity_early_exit(mode):
     # the exit level sits halfway between a mid-run record of |n_plus| and
     # the largest value before it, so the run must stop at that snapshot
     case = _leapfrog_case(mode, n_steps=50, stride=4)
-    _, _, _, w_bg, args, p = case
+    _, _, _, _, args, p = case
     k = 1.7
     full, w_full, v_full = _run_leapfrog(K.leapfrog, case)
     assert full[2] == 0
-    pert = w_full - w_bg if mode == 0 else w_full
-    n_plus = np.abs(0.5 * (pert @ p + (v_full @ p) / k))
+    # the exit reads n_plus of the stepped field
+    n_plus = np.abs(0.5 * (w_full @ p + (v_full @ p) / k))
     records = [i for i in range(1, len(n_plus)) if n_plus[i] > n_plus[:i].max()]
     j = records[len(records) // 2]
     assert 1 <= j < len(n_plus) - 1
@@ -174,7 +185,7 @@ def test_leapfrog_numpy_matches_reference(mode, amp, psi_cap):
     w0 += amp * w_bg  # amp = 1 puts twice the profile in: quintic runaway
     with np.errstate(over="ignore", invalid="ignore"):
         new = _run_leapfrog(K.leapfrog, case, psi_cap)
-        ref = _run_leapfrog(leapfrog_numpy_reference, case, psi_cap)
+        ref = _run_leapfrog(_reference(mode), case, psi_cap)
     assert new[0] == ref[0]
     assert new[0][2] == (0 if amp == 0.0 else 1 if np.isfinite(psi_cap) else 2)
     for a, b in zip(new[1:], ref[1:]):
@@ -196,7 +207,7 @@ def test_leapfrog_cap_fallback_matches_reference(mode, cap):
     psi_cap = 1e3
     if cap != "fine_grid":
         every = _leapfrog_case(mode, n=n, n_steps=n_steps, stride=1)
-        _, w_all, _ = _run_leapfrog(leapfrog_numpy_reference, every, np.inf)
+        _, w_all, _ = _run_leapfrog(_reference(mode), every, np.inf)
         tot = w_all[1:, :-1] + (w_bg[:-1] if mode == 1 else 0.0)
         psi_max = float(np.abs(tot * inv_r[:-1]).max())
         psi_cap = psi_max * (1 + 1e-9) if cap == "above" else psi_max
@@ -204,7 +215,7 @@ def test_leapfrog_cap_fallback_matches_reference(mode, cap):
         tot = w0[:-1] + (w_bg[:-1] if mode == 1 else 0.0)
     assert (tot * tot).max() > (psi_cap * g.nodes[0]) ** 2
     new = _run_leapfrog(K.leapfrog, case, psi_cap)
-    ref = _run_leapfrog(leapfrog_numpy_reference, case, psi_cap)
+    ref = _run_leapfrog(_reference(mode), case, psi_cap)
     assert new[0] == ref[0] == (2, n_steps, 0)
     for a, b in zip(new[1:], ref[1:]):
         assert np.array_equal(a, b)
@@ -222,6 +233,6 @@ def test_leapfrog_blowup_detection():
     w_snap[0] = w0
     snap, step, reason = K.leapfrog(
         w0.copy(), np.zeros(g.n), 1.0 / r, 1.0 / r ** 4, w_bg, 1.0 / h2, dt,
-        2000, 200, 1, 10.0, w_snap, v_snap)
+        2000, 200, 10.0, w_snap, v_snap)
     assert reason in (1, 2)
     assert step < 2000

@@ -23,8 +23,8 @@ import numpy as np
 
 from ._kernels import leapfrog, tridiag_solve
 from .errors import BracketError, ConvergenceError, NumericsError
-from .radial import (RadialGrid, assemble_channel_operator, fit_loglog_slope,
-                     inner_3d, integrate)
+from .radial import (RadialGrid, assemble_channel_operator, bracketed_root,
+                     fit_loglog_slope, inner_3d, integrate)
 from .solitons import aubin_phi, aubin_potential
 from .spectral import negative_eigenpairs
 
@@ -529,13 +529,10 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     them: every candidate replaces the end with its outcome.  Each
     classification run stops at its decision (|n_plus| past
     EvolveConfig().exit_n_plus, or the amplitude cap) and measures its distance
-    from the manifold, n_plus(t) ~ e^{kt} (h - h*)/2 (see _classify).  The
-    first candidate is the midpoint.  Each later one is the last run's
-    estimate of h* when it lies strictly inside the bracket, and the
-    midpoint when it does not, when the run gave none, or after three
-    candidates in a row landed on the same side.  Each estimate gains about
-    a digit until the outcome is set by rounding noise in the e^{kt}
-    amplification; midpoints finish from there.
+    from the manifold, n_plus(t) ~ e^{kt} (h - h*)/2 (see _classify).
+    radial.bracketed_root picks the candidates from these offsets; they
+    gain digits until the outcome is set by rounding noise in the e^{kt}
+    amplification, and midpoints finish from there.
 
     tol = 0 means search to float64 resolution (the ends adjacent floats),
     which is also the physical limit: the bracket width is amplified by
@@ -548,7 +545,7 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     observables.  Its decay fit is taken on [5, 25] clipped to the span
     where the unstable-mode content is still small against the dispersive
     sup norm; the window used is reported in the result, and so are the
-    runs (n_runs) and how many candidates were estimates (n_estimate_runs).
+    runs (n_runs) and the candidates that were not midpoints (n_estimate_runs).
     A bracket_width that is not positive and finite, a nan or negative
     tol, and a horizon too short to give the decay fit 3 snapshots in
     [5, 7], are rejected with ValueError before the first run.
@@ -573,41 +570,21 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     def state(hc):
         return RadialState(grid, f1p + hc * mode.g, f2p, "perturbation")
 
-    lo, hi = -bracket_width, bracket_width
-    out_lo = _classify(state(lo), t_horizon, config)[0]
-    out_hi = _classify(state(hi), t_horizon, config)[0]
-    runs = 2
+    out_lo = _classify(state(-bracket_width), t_horizon, config)[0]
+    out_hi = _classify(state(bracket_width), t_horizon, config)[0]
     if out_lo == out_hi or "undecided" in (out_lo, out_hi):
         raise BracketError(
             f"bracket ends gave {out_lo!r}/{out_hi!r}; widen it")
-    h_star, estimate, n_estimates, streak, last_below = None, None, 0, 0, None
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if estimate is not None and lo < estimate < hi and streak < 3:
-            hc = estimate
-            n_estimates += 1
-        else:
-            hc = mid
+    candidates = []
+
+    def side(hc):
+        candidates.append(hc)
         out, offset = _classify(state(hc), t_horizon, config)
-        runs += 1
-        if out == "undecided":
-            # ran out of horizon without exiting: as near as it resolves
-            h_star = hc
-            break
-        below = out == out_lo
-        streak = streak + 1 if below == last_below else 1
-        last_below = below
-        if below:
-            lo = hc
-        else:
-            hi = hc
-        estimate = None if offset is None else hc - offset
-    if h_star is None:
-        h_star = 0.5 * (lo + hi)
+        return (None if out == "undecided" else out != out_lo), offset
+
+    h_star, (lo, hi), n_estimates = bracketed_root(
+        side, -bracket_width, bracket_width, tol)
     traj = evolve_nlw(state(h_star), t_horizon, config=config)
-    runs += 1
     t_clean = _near_manifold_span(traj)
     if math.isfinite(traj.blowup_time):
         t_clean = min(t_clean, traj.blowup_time)
@@ -616,7 +593,8 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     return StableManifoldResult(
         h_star=h_star, bracket_final=(lo, hi),
         below_outcome=out_lo, above_outcome=out_hi,
-        decay_fit=decay, decay_window=win, n_runs=runs,
+        # the runs: both bracket ends, the candidates and the final run
+        decay_fit=decay, decay_window=win, n_runs=len(candidates) + 3,
         n_estimate_runs=n_estimates, trajectory=traj)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import BracketError, ConvergenceError, SingularSolveError
-from .radial import (assemble_channel_operator, bisect, inner_3d, integrate,
-                     make_grid, solve_shifted)
+from .radial import (assemble_channel_operator, bracketed_root, inner_3d,
+                     integrate, make_grid, solve_shifted)
 from .solitons import NlsGroundState, d_alpha_ground_state, nls_ground_state
 from .spectral import (count_eigenvalues_below, edge_diagnosis,
                        eigenvalue_by_index)
@@ -125,11 +125,14 @@ def sigma_star(bracket, tol: float = 1e-3,
 
     Requires the gap to fail at bracket[0] and hold at bracket[1]; each
     evaluation shoots a fresh ground state on the configured grid.
-    radial.bisect stops at width tol or at float64 resolution; a nan or
-    negative tol raises ValueError before the first evaluation.
+    radial.bracketed_root stops at width tol or at float64 resolution; a
+    nan or negative tol, and an alpha that is not positive and finite,
+    raise ValueError before the first evaluation.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0.0 < config.alpha < np.inf:
+        raise ValueError(f"need 0 < alpha < inf, got {config.alpha}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not lo < hi:
         raise BracketError(f"empty bracket ({lo}, {hi})")
@@ -137,7 +140,8 @@ def sigma_star(bracket, tol: float = 1e-3,
         raise BracketError(f"gap already holds at sigma = {lo}")
     if not gap_holds_at(hi, config):
         raise BracketError(f"gap still fails at sigma = {hi}")
-    return bisect(lambda s: gap_holds_at(s, config), lo, hi, tol)
+    return bracketed_root(lambda s: (gap_holds_at(s, config), None),
+                          lo, hi, tol)[0]
 
 
 def weinstein_h(pair: LinearizedPair, mu: float) -> float:

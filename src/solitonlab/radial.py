@@ -4,7 +4,7 @@ Everything downstream works with the reduced field w(r) = r f(r) on a
 uniform grid over (0, r_max].  A radial operator -f'' - (2/r) f' + ... in
 three dimensions becomes -w'' + [l(l+1)/r^2 + V(r)] w on the half line with
 a Dirichlet condition at r = 0, which is what ChannelOperator discretizes.
-bisect is the one bisection of the Sturm, ground-state and sigma* searches.
+bracketed_root serves the Sturm, shooting, sigma* and h* bracket searches.
 """
 
 from dataclasses import dataclass, field
@@ -141,18 +141,36 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
 
 
-def bisect(pred, lo: float, hi: float, tol: float) -> float:
-    """Halve (lo, hi) toward where pred turns true, to width tol or until
-    the midpoint rounds to an end; return the midpoint.  A nan or negative
-    tol raises ValueError before the first pred call."""
+def bracketed_root(f, lo: float, hi: float, tol: float):
+    """Shrink (lo, hi) around the root of f to width tol or until the
+    midpoint rounds to an end; return (root, (lo, hi), n_steered).
+
+    f(x) gives (above, d): whether x lies above the root (None accepts x as
+    the root), and None or an estimate of x - root.  The next x is the
+    secant root of the last two calls when both gave a d, else x - d of the
+    last, else the midpoint; the midpoint also replaces an x outside (lo,
+    hi) or one after three calls in a row on one side.  n_steered counts
+    the x that were not midpoints.  A nan or negative tol raises ValueError
+    before the first call.
+    """
     if not tol >= 0.0:
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    n_steered, streak, side, guess = 0, 0, None, np.nan
+    x1 = d1 = None  # the previous call
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        x = 0.5 * (lo + hi)
+        if x == lo or x == hi:
             break
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        if lo < guess < hi and streak < 3:
+            x = guess
+            n_steered += 1
+        above, d = f(x)
+        if above is None:
+            return x, (lo, hi), n_steered
+        streak = streak + 1 if above == side else 1
+        lo, hi = (lo, x) if above else (x, hi)
+        guess = np.nan  # no estimate, or no secant root
+        if d is not None and d != d1:
+            guess = x - d if d1 is None else x - d * (x - x1) / (d - d1)
+        side, x1, d1 = above, x, d
+    return 0.5 * (lo + hi), (lo, hi), n_steered

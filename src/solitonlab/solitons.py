@@ -8,7 +8,7 @@ The wave soliton family is explicit,
 with linearization potential V = -5 phi^4 and dilation derivative
 d_a phi = (3a)^(1/4) (1 - a r^2) / (4 a (1 + a r^2)^(3/2)).  NLS ground
 states of (alpha^2 - Laplacian) phi = phi^(2 sigma + 1) have no closed form
-and are shot on phi(0) by radial.bisect, to 1e-12 or float64 resolution.
+and are shot on phi(0) by radial.bracketed_root to 1e-12 or float resolution.
 """
 
 import math
@@ -18,8 +18,8 @@ import numpy as np
 
 from ._kernels import rk4_shoot
 from .errors import ConvergenceError
-from .radial import (RadialGrid, bisect, fit_loglog_slope, inner_3d,
-                     integrate, make_grid)
+from .radial import (RadialGrid, bracketed_root, fit_loglog_slope,
+                     inner_3d, integrate, make_grid)
 
 _OVERSHOOT = 1
 _UNDERSHOOT = 2
@@ -132,23 +132,23 @@ def nls_ground_state(sigma: float, alpha: float, d: int,
     """Ground state by bisection shooting on phi(0).
 
     Overshoot (a zero crossing) means phi(0) was too large, undershoot
-    (phi' turning positive) too small; radial.bisect halves the bracket to
-    width 1e-12 or to float64 resolution, and the midpoint profile, with
+    (phi' turning positive) too small; radial.bracketed_root halves the
+    bracket to width 1e-12 or float64 resolution, and the midpoint profile,
     its breakdown tail replaced by the exponential asymptote, is returned.
     """
     if d not in (1, 3):
         raise ValueError(f"dimension must be 1 or 3, got {d}")
-    if not alpha > 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if not 0.0 < sigma:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if d == 3 and not sigma < 2.0:
         raise ValueError(f"need sigma < 2 in d = 3, got {sigma}")
     h, n = grid.h, grid.n
     lo, hi = _find_bracket(alpha, sigma, d, h, n)
-    b = bisect(
-        lambda c: _shoot_once(c, alpha, sigma, d, h, n)[1] == _OVERSHOOT,
-        lo, hi, 1e-12)
+    b = bracketed_root(
+        lambda c: (_shoot_once(c, alpha, sigma, d, h, n)[1] == _OVERSHOOT,
+                   None), lo, hi, 1e-12)[0]
     phi, status, stop = _shoot_once(b, alpha, sigma, d, h, n)
     phi = _splice_tail(phi, status, stop, alpha, d, grid.nodes)
     if np.any(phi <= 0.0):

@@ -5,9 +5,9 @@ Bound states are counted by Sturm sign counts and by the sign flips of
 the regular shooting solution, the same recurrence that the zero-energy
 and edge diagnoses read (exact counting, mirroring the oscillation-theory
 argument that underpins every spectral claim here); eigenvalue_by_index
-is a Sturm bisection by radial.bisect, which stops at its tolerance or
-at float resolution; eigenpairs and the eigenvalues in a window come
-from LAPACK's tridiagonal bisection and inverse iteration
+is a Sturm bisection by radial.bracketed_root, which stops at its
+tolerance or at float resolution; eigenpairs and the eigenvalues in a
+window come from LAPACK's tridiagonal bisection and inverse iteration
 (stebz/stein).  The Birman-Schwinger section counts
 eigenvalues near or above 1 of the explicit zero-energy kernel
 min(r,s)^(l+1) max(r,s)^(-l) / (2l+1) per channel.  That kernel is a
@@ -24,8 +24,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from ._kernels import shoot_solution, sturm_count
 from .errors import ConvergenceError, NumericsError, TailFitError
-from .radial import (ChannelOperator, RadialGrid, apply_operator, bisect,
-                     fit_loglog_slope, integrate)
+from .radial import (ChannelOperator, RadialGrid, apply_operator,
+                     bracketed_root, fit_loglog_slope, integrate)
 
 # tail fits on [_TAIL_WINDOW r_max, r_max]; coefficients below _TAIL_THRESHOLD vanish
 _TAIL_WINDOW = 0.7
@@ -90,14 +90,14 @@ def regular_solution(op: ChannelOperator, energy: float) -> np.ndarray:
 def eigenvalue_by_index(op: ChannelOperator, index: int) -> float:
     """The index-th smallest eigenvalue (0-based) by Sturm bisection.
 
-    radial.bisect halves the Gershgorin interval with sturm_count (Barth,
-    Martin and Wilkinson 1967) to width 1e-13 or to float64 resolution, so
+    radial.bracketed_root halves the Gershgorin interval with sturm_count
+    (Barth, Martin and Wilkinson 1967) to 1e-13 or float64 resolution, so
     an eigenvalue whose ulp exceeds 1e-13 still ends the search.
     """
     bound = float(np.max(np.abs(op.diagonal)) + 2.0 / op.h ** 2)
-    return bisect(
-        lambda x: sturm_count(op.diagonal, op.off_diagonal, x) >= index + 1,
-        -bound, bound, 1e-13)
+    return bracketed_root(
+        lambda x: (sturm_count(op.diagonal, op.off_diagonal, x) >= index + 1,
+                   None), -bound, bound, 1e-13)[0]
 
 
 def _count_sign_changes(v: np.ndarray) -> int:

@@ -231,14 +231,18 @@ def full_run_stable_h_search(f1, f2, grid, bracket_width, t_horizon):
     """solitonlab.dynamics.find_stable_h's search with tol = 0, written from
     its specification, with every candidate run to the horizon by evolve_nlw.
 
-    A run's estimate of h* is h - 2 e^{-k t_j} n_plus(t_j) at the last
-    snapshot j >= 1 before the first |n_plus| > exit_n_plus with |n_plus| <=
-    2e-3.  The next candidate is that estimate when it lies strictly inside
-    the bracket and the last three candidates did not all land on the same
-    side, else the midpoint.  An undecided candidate ends the search as
-    h_star.  Returns (h_star, bracket_final, below, above, n_runs,
-    n_estimate_runs, outcomes), outcomes being the candidates' (h, outcome)
-    in order, bracket ends first.
+    A run's offset h - h* is 2 e^{-k t_j} n_plus(t_j) at the last snapshot
+    j >= 1 before the first |n_plus| > exit_n_plus with |n_plus| <= 2e-3.
+    The next candidate is the secant root through the last two candidates'
+    (h, offset) pairs when both have an offset (none when the offsets are
+    equal), else the last candidate minus its offset when it has one, else
+    the midpoint; it is the midpoint too when it does not lie strictly
+    inside the bracket or the last three candidates all landed on the same
+    side.  An undecided candidate ends the search as h_star.  Returns
+    (h_star, bracket_final, below, above, n_runs, n_estimate_runs,
+    outcomes), outcomes being the candidates' (h, outcome) in order,
+    bracket ends first, and n_estimate_runs the candidates that were not
+    midpoints.
     """
     mode = unstable_mode(grid)
     f1p, f2p = project_to_sigma0(f1, f2, grid, mode)
@@ -254,24 +258,31 @@ def full_run_stable_h_search(f1, f2, grid, bracket_width, t_horizon):
         end = int(past[0]) if past.size else len(n_plus)
         for j in range(end - 1, 0, -1):
             if abs(n_plus[j]) <= 2e-3:
-                return traj.outcome, hc - 2.0 * math.exp(
+                return traj.outcome, 2.0 * math.exp(
                     -mode.k * traj.times[j]) * float(n_plus[j])
         return traj.outcome, None
 
     lo, hi = -bracket_width, bracket_width
     below, above = run(lo)[0], run(hi)[0]
-    estimate, n_estimates, sides = None, 0, []
+    n_estimates, sides, measured = 0, [], []
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
+        hc, estimate = mid, None
+        if measured and measured[-1][1] is not None:
+            h1, d1 = measured[-1]
+            estimate = h1 - d1
+            if len(measured) >= 2 and measured[-2][1] is not None:
+                h0, d0 = measured[-2]
+                estimate = (h1 - d1 * (h1 - h0) / (d1 - d0) if d1 != d0
+                            else None)
         if estimate is not None and lo < estimate < hi and not (
                 len(sides) >= 3 and len(set(sides[-3:])) == 1):
             hc = estimate
             n_estimates += 1
-        else:
-            hc = mid
-        out, estimate = run(hc)
+        out, offset = run(hc)
+        measured.append((hc, offset))
         if out == "undecided":
             return (hc, (lo, hi), below, above, len(outcomes) + 1,
                     n_estimates, outcomes)

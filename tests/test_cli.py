@@ -320,6 +320,10 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     ["evolve", "--n", "400", "--r-max", "20", "--t-final", "2", "--width", "-1"],
     ["evolve", "--n", "400", "--r-max", "20", "--t-final", "2", "--width", "inf"],
     ["bs-count", "--n", "400", "--ell-max", "-1"],
+    ["sigma-star", "--n", "400", "--alpha", "0"],
+    ["nls-ground", "--n", "400", "--alpha", "inf"],
+    ["weinstein", "--n", "400", "--alpha", "inf"],
+    ["nls-ground", "--n", "400", "--d", "1", "--sigma", "inf"],
 ])
 def test_bad_time_values_exit_2(tmp_path, capsys, args):
     rc, out = run_cli(args, tmp_path, "badtime")

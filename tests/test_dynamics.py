@@ -519,7 +519,7 @@ def test_find_stable_h_matches_full_run_bisection():
     res = find_stable_h(f1, np.zeros(g.n), g, bracket_width=0.05, tol=0.0,
                         t_horizon=20.0)
     # early exit never changes the search: its twin runs every candidate,
-    # and measures every estimate, to the horizon
+    # and measures every offset, to the horizon
     h_star, bracket, below, above, runs, n_est, _ = full_run_stable_h_search(
         f1, np.zeros(g.n), g, 0.05, 20.0)
     assert res.h_star == h_star
@@ -561,8 +561,8 @@ def test_find_stable_h_undecided_candidate_ends_search():
 
 def test_find_stable_h_midpoint_without_estimate(monkeypatch):
     # far from the manifold: the first candidate, 0, is past the linear
-    # regime at its first snapshot, so the next candidate is the midpoint;
-    # later, three candidates in a row land on one side
+    # regime at its first snapshot, so it gives no offset and the next
+    # candidate is the midpoint
     g = make_grid(30.0, 1000)
     mode = unstable_mode(g)
     f1 = 0.5 * np.exp(-g.nodes ** 2)

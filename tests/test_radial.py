@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from solitonlab.radial import (apply_operator, assemble_channel_operator,
-                               bisect, integrate, make_grid, solve_shifted)
+                               bracketed_root, integrate, make_grid,
+                               solve_shifted)
 from solitonlab.solitons import aubin_dphi_da, aubin_values
 from solitonlab.spectral import count_eigenvalues_below, eigenvalue_by_index
 
@@ -165,7 +166,7 @@ def test_bisect_ends_at_tol_or_float_resolution(lo, hi, c, tol):
             raise AssertionError("bisect is still halving")
         return x >= c
 
-    x = bisect(pred, lo, hi, tol)
+    x = bracketed_root(lambda x: (pred(x), None), lo, hi, tol)[0]
     assert abs(x - c) <= max(tol, np.spacing(abs(c)))
 
 
@@ -175,4 +176,83 @@ def test_bisect_rejects_nan_or_negative_tol(tol):
         raise AssertionError("a bad tol must be rejected before any call")
 
     with pytest.raises(ValueError, match="tol"):
-        bisect(pred, 0.0, 1.0, tol)
+        bracketed_root(lambda x: (pred(x), None), 0.0, 1.0, tol)
+
+
+def _counted(f, cap=2100):
+    """f with a call log; more than cap calls fail the test."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        if len(calls) > cap:
+            raise AssertionError("bracketed_root is still searching")
+        return f(x)
+    return g, calls
+
+
+@pytest.mark.parametrize("lo, hi, c, tol", [
+    (0.0, 1.0, 0.3, 0.0),
+    (0.0, 1.0, 0.123456789, 0.0),
+    (-3.0, -2.0, -2.7, 0.0),
+    (-1.0, 1.0, 0.0, 0.0),
+    (1e4, 5e4, 42849.8404009237, 1e-12),
+])
+def test_bracketed_root_exact_estimate_ends_in_three_calls(lo, hi, c, tol):
+    def f(x):
+        d = x - c
+        return (None if d == 0.0 else d > 0.0), d
+
+    f, calls = _counted(f)
+    x, _, n_steered = bracketed_root(f, lo, hi, tol)
+    assert x == c
+    assert len(calls) <= 3
+    assert n_steered == len(calls) - 1
+
+
+@pytest.mark.parametrize("lo, hi, c, tol", [
+    (-1e300, 1e300, 0.5, 0.0),
+    (-1e300, 1e300, 0.0, 0.0),
+    (-1e6, 1e6, 0.3, 1e-12),
+])
+def test_bracketed_root_biased_estimate_beats_bisection(lo, hi, c, tol):
+    # the estimates carry the root to within the bias 1e-3/1.3 from a wide
+    # bracket; the side of each call, not its d, decides the final bracket
+    steered, calls = _counted(lambda x: (x >= c, 1.3 * (x - c) + 1e-3))
+    x = bracketed_root(steered, lo, hi, tol)[0]
+    assert abs(x - c) <= max(tol, np.spacing(abs(c)))
+    plain, bisect_calls = _counted(lambda x: (x >= c, None))
+    bracketed_root(plain, lo, hi, tol)
+    assert len(calls) < len(bisect_calls)
+
+
+def test_bracketed_root_one_sided_estimate_still_ends():
+    # the secant on a cube stays above the root, so after three calls on
+    # one side the next is the midpoint
+    c = 0.3
+    f, calls = _counted(lambda x: (x >= c, (x - c) ** 3))
+    x, bracket, _ = bracketed_root(f, 0.0, 1.0, 0.0)
+    assert abs(x - c) <= np.spacing(c)
+    lo, hi, sides, forced = 0.0, 1.0, [], 0
+    for x in calls:
+        if len(sides) >= 3 and len(set(sides[-3:])) == 1:
+            assert x == 0.5 * (lo + hi)
+            forced += 1
+        sides.append(x >= c)
+        lo, hi = (lo, x) if x >= c else (x, hi)
+    assert forced > 0 and bracket == (lo, hi)
+
+
+def test_bracketed_root_nan_estimate_bisects():
+    c = 0.3
+    f, calls = _counted(lambda x: (x >= c, np.nan))
+    plain, bisect_calls = _counted(lambda x: (x >= c, None))
+    result = bracketed_root(f, 0.0, 1.0, 0.0)
+    assert result == bracketed_root(plain, 0.0, 1.0, 0.0)
+    assert result[2] == 0 and calls == bisect_calls
+
+
+def test_bracketed_root_accepts_undecided_point():
+    f, calls = _counted(lambda x: (None, 0.25))
+    assert bracketed_root(f, -1.0, 3.0, 0.0) == (1.0, (-1.0, 3.0), 0)
+    assert calls == [1.0]

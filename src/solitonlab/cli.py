@@ -389,7 +389,7 @@ def build_parser(exit_on_error=True):
     p.add_argument("--ells", type=int, nargs="+", default=[0, 1])
 
     p = command("sigma-star", cmd_sigma_star,
-                "bisect the gap-breakdown exponent", (40.0, 3000))
+                "locate the gap-breakdown exponent", (40.0, 3000))
     p.add_argument("--lo", type=float, default=0.8)
     p.add_argument("--hi", type=float, default=1.0)
     p.add_argument("--tol", type=float, default=1e-3)

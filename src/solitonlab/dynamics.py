@@ -546,15 +546,15 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     where the unstable-mode content is still small against the dispersive
     sup norm; the window used is reported in the result, and so are the
     runs (n_runs) and the candidates that were not midpoints (n_estimate_runs).
-    A bracket_width that is not positive and finite, a nan or negative
-    tol, and a horizon too short to give the decay fit 3 snapshots in
-    [5, 7], are rejected with ValueError before the first run.
+    A bracket_width that is not positive and finite, a tol that is nan,
+    negative or infinite, and a horizon too short to give the decay fit 3
+    snapshots in [5, 7], are rejected with ValueError before the first run.
     """
     if not 0.0 < bracket_width < math.inf:
         raise ValueError(
             f"bracket_width must be positive and finite, got {bracket_width}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     config = EvolveConfig()
     dt, n_steps, stride = _time_grid(grid, t_horizon, None, config)
     t_need = _min_fit_horizon(dt, stride)

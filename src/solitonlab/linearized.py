@@ -22,8 +22,8 @@ from .errors import BracketError, ConvergenceError, SingularSolveError
 from .radial import (assemble_channel_operator, bracketed_root, inner_3d,
                      integrate, make_grid, solve_shifted)
 from .solitons import NlsGroundState, d_alpha_ground_state, nls_ground_state
-from .spectral import (count_eigenvalues_below, edge_diagnosis,
-                       eigenvalue_by_index)
+from .spectral import (_TAIL_THRESHOLD, count_eigenvalues_below,
+                       edge_diagnosis, eigenvalue_by_index)
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,18 @@ class GapReport:
 
     eigenvalues maps operator name -> {ell: [values]}; a weakly bound state
     detected only through the edge asymptote (crossing beyond r_max) is
-    reported with its binding estimate.  gap_holds is True exactly when all
-    lists are empty and all edge flags are False.
+    reported with its binding estimate.  tail_ratios holds each channel's
+    edge tail ratio c_linear/c_const from spectral.edge_diagnosis (nan when
+    c_const is 0); the edge flag is set where its modulus is below
+    1e-3/r_max.  gap_holds is True exactly when all lists are empty and all
+    edge flags are False.
     """
 
     sigma: float
     alpha_sq: float
     eigenvalues: dict
     edge_resonance: dict
+    tail_ratios: dict
     gap_holds: bool
 
 
@@ -78,12 +82,13 @@ def gap_scan(pair: LinearizedPair) -> GapReport:
     itself is probed by the tail asymptote of the edge-energy regular
     solution, which also exposes weakly bound states whose decay length
     exceeds r_max (reported with the binding estimate from the asymptote
-    crossing).
+    crossing).  The tail ratios come from the same edge solutions.
     """
     a2 = pair.alpha_sq
     lo = 0.01 * a2
     eigs = {"L_plus": {}, "L_minus": {}}
     flags = {"L_plus": {}, "L_minus": {}}
+    ratios = {"L_plus": {}, "L_minus": {}}
     holds = True
     for name, ops in (("L_plus", pair.L_plus), ("L_minus", pair.L_minus)):
         for ell, op in ops.items():
@@ -97,10 +102,13 @@ def gap_scan(pair: LinearizedPair) -> GapReport:
                 found.append(a2 - kappa ** 2)
             eigs[name][ell] = found
             flags[name][ell] = diag["edge_resonance"]
+            c_1 = diag["c_const"]
+            ratios[name][ell] = diag["c_linear"] / c_1 if c_1 else np.nan
             if found or diag["edge_resonance"]:
                 holds = False
     return GapReport(sigma=pair.profile.sigma, alpha_sq=a2,
-                     eigenvalues=eigs, edge_resonance=flags, gap_holds=holds)
+                     eigenvalues=eigs, edge_resonance=flags,
+                     tail_ratios=ratios, gap_holds=holds)
 
 
 @dataclass(frozen=True)
@@ -112,36 +120,57 @@ class SigmaStarConfig:
     ells: tuple = (0, 1)
 
 
-def gap_holds_at(sigma: float, config: SigmaStarConfig = SigmaStarConfig()) -> bool:
-    """Shoot a fresh ground state at this sigma and evaluate the gap."""
+def gap_side_at(sigma: float, config: SigmaStarConfig = SigmaStarConfig()):
+    """Shoot a fresh ground state at this sigma; return (gap_holds, d).
+
+    d estimates sigma - sigma*: the L_plus ell = 0 edge tail ratio less the
+    resonance threshold 1e-3/r_max, where gap_holds flips.  The ratio
+    passes through it with slope near 1 in sigma (about -0.10 at 0.8 and
+    +0.09 at 1.0 at the default grid).  d is None when config.ells has no
+    0 or the ratio is not finite.
+    """
     g = make_grid(config.r_max_over_alpha / config.alpha, config.n)
     profile = nls_ground_state(sigma, config.alpha, config.d, g)
-    return gap_scan(assemble_linearized_pair(profile, config.ells)).gap_holds
+    report = gap_scan(assemble_linearized_pair(profile, config.ells))
+    ratio = report.tail_ratios["L_plus"].get(0, np.nan)
+    d = ratio - _TAIL_THRESHOLD / g.r_max if np.isfinite(ratio) else None
+    return report.gap_holds, d
+
+
+def gap_holds_at(sigma: float, config: SigmaStarConfig = SigmaStarConfig()) -> bool:
+    """Shoot a fresh ground state at this sigma and evaluate the gap."""
+    return gap_side_at(sigma, config)[0]
 
 
 def sigma_star(bracket, tol: float = 1e-3,
                config: SigmaStarConfig = SigmaStarConfig()) -> float:
-    """Bisect sigma for the gap-property breakdown point.
+    """The gap-property breakdown point, to within tol.
 
-    Requires the gap to fail at bracket[0] and hold at bracket[1]; each
-    evaluation shoots a fresh ground state on the configured grid.
-    radial.bracketed_root stops at width tol or at float64 resolution; a
-    nan or negative tol, and an alpha that is not positive and finite,
-    raise ValueError before the first evaluation.
+    Requires the gap to fail at bracket[0] and hold at bracket[1].  Every
+    evaluation, both ends included, is one gap_side_at call, which shoots a
+    fresh ground state on the configured grid.  radial.bracketed_root
+    shrinks the bracket on the side gap_holds gives, steered by the
+    estimate d of sigma - sigma* (plain bisection where d is None), and
+    stops at width tol or at float64 resolution; the result is the
+    midpoint of a final bracket where the gap fails at the lower end and
+    holds at the upper.  A tol that is nan, negative or infinite, a
+    bracket end that is not finite, and an alpha that is not positive and
+    finite, raise ValueError before the first evaluation.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     if not 0.0 < config.alpha < np.inf:
         raise ValueError(f"need 0 < alpha < inf, got {config.alpha}")
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError(f"bracket ends must be finite, got ({lo}, {hi})")
     if not lo < hi:
         raise BracketError(f"empty bracket ({lo}, {hi})")
-    if gap_holds_at(lo, config):
+    if gap_side_at(lo, config)[0]:
         raise BracketError(f"gap already holds at sigma = {lo}")
-    if not gap_holds_at(hi, config):
+    if not gap_side_at(hi, config)[0]:
         raise BracketError(f"gap still fails at sigma = {hi}")
-    return bracketed_root(lambda s: (gap_holds_at(s, config), None),
-                          lo, hi, tol)[0]
+    return bracketed_root(lambda s: gap_side_at(s, config), lo, hi, tol)[0]
 
 
 def weinstein_h(pair: LinearizedPair, mu: float) -> float:

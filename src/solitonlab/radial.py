@@ -149,12 +149,15 @@ def bracketed_root(f, lo: float, hi: float, tol: float):
     the root), and None or an estimate of x - root.  The next x is the
     secant root of the last two calls when both gave a d, else x - d of the
     last, else the midpoint; the midpoint also replaces an x outside (lo,
-    hi) or one after three calls in a row on one side.  n_steered counts
-    the x that were not midpoints.  A nan or negative tol raises ValueError
+    hi) or one after three calls in a row on one side.  An estimated x
+    closer than tol/2 to the last call moves to tol/2 from it, into the
+    bracket (Brent's minimum step), so an estimate that is right ends the
+    search one call later.  n_steered counts the x that were not
+    midpoints.  A tol that is nan, negative or infinite raises ValueError
     before the first call.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     n_steered, streak, side, guess = 0, 0, None, np.nan
     x1 = d1 = None  # the previous call
     while hi - lo > tol:
@@ -172,5 +175,7 @@ def bracketed_root(f, lo: float, hi: float, tol: float):
         guess = np.nan  # no estimate, or no secant root
         if d is not None and d != d1:
             guess = x - d if d1 is None else x - d * (x - x1) / (d - d1)
+            if abs(guess - x) < 0.5 * tol:
+                guess = x - 0.5 * tol if above else x + 0.5 * tol
         side, x1, d1 = above, x, d
     return 0.5 * (lo + hi), (lo, hi), n_steered

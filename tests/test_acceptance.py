@@ -54,7 +54,7 @@ def test_criterion_01_sigma_star_reproduction():
     base = sigma_star((0.8, 1.0), 1e-3, SigmaStarConfig(n=3000))
     in_window = 0.905 <= base <= 0.925
     # the refinement trend needs sigma resolved finer than the h^2 bias it
-    # tracks, so the refinement estimates bisect to 1e-4
+    # tracks, so the refinement estimates search to 1e-4
     seq = [sigma_star((0.9, 0.93), 1e-4, SigmaStarConfig(n=n))
            for n in (3000, 6000, 12000)]
     elapsed = time.time() - t0

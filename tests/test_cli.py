@@ -324,6 +324,9 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     ["nls-ground", "--n", "400", "--alpha", "inf"],
     ["weinstein", "--n", "400", "--alpha", "inf"],
     ["nls-ground", "--n", "400", "--d", "1", "--sigma", "inf"],
+    ["sigma-star", "--n", "400", "--tol", "inf"],
+    ["stable-h", "--n", "400", "--r-max", "20", "--tol", "inf"],
+    ["sigma-star", "--n", "400", "--lo", "nan"],
 ])
 def test_bad_time_values_exit_2(tmp_path, capsys, args):
     rc, out = run_cli(args, tmp_path, "badtime")

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from solitonlab import linearized
 from solitonlab.errors import BracketError
 from solitonlab.linearized import (SigmaStarConfig, assemble_linearized_pair,
-                                   gap_holds_at, gap_scan,
+                                   gap_holds_at, gap_scan, gap_side_at,
                                    instability_criterion, mu0, sigma_star,
                                    weinstein_h, weinstein_h_from_scaling)
 from solitonlab.radial import apply_operator, integrate, make_grid
@@ -89,9 +91,32 @@ def test_root_space_identities(cubic_profile, cubic_pair):
     assert np.abs(res[: g.n // 2]).max() < 500.0 * g.h ** 2
 
 
-def test_sigma_star_default_grid():
+def test_sigma_star_default_grid(monkeypatch):
+    # steered by the tail-ratio estimate, the search shoots at most 6
+    # ground states (the bisection shot 10), and the result is still the
+    # midpoint of a bracket no wider than tol whose ends disagree
+    shots, sides = [], {}
+    shoot, side_at = linearized.nls_ground_state, linearized.gap_side_at
+
+    def counted_shoot(*args, **kwargs):
+        shots.append(args[0])
+        return shoot(*args, **kwargs)
+
+    def recorded_side(sigma, config):
+        holds, d = side_at(sigma, config)
+        sides[sigma] = holds
+        return holds, d
+
+    monkeypatch.setattr(linearized, "nls_ground_state", counted_shoot)
+    monkeypatch.setattr(linearized, "gap_side_at", recorded_side)
     val = sigma_star((0.8, 1.0), 1e-3)
     assert 0.905 <= val <= 0.925
+    assert len(shots) <= 6
+    lo = max(s for s, holds in sides.items() if not holds)
+    hi = min(s for s, holds in sides.items() if holds)
+    assert hi - lo <= 1e-3 and val == 0.5 * (lo + hi)
+    monkeypatch.undo()
+    assert not gap_holds_at(lo) and gap_holds_at(hi)
 
 
 def test_sigma_star_bad_bracket():
@@ -111,13 +136,13 @@ def test_sigma_star_single_crossing_coarse():
 def test_sigma_star_zero_tol_ends_at_adjacent_floats(monkeypatch):
     calls = []
 
-    def fake_gap_holds_at(sigma, config):
+    def fake_gap_side_at(sigma, config):
         calls.append(sigma)
         if len(calls) > 200:
             raise AssertionError("sigma_star is still bisecting")
-        return sigma >= 0.9
+        return sigma >= 0.9, sigma - 0.9
 
-    monkeypatch.setattr(linearized, "gap_holds_at", fake_gap_holds_at)
+    monkeypatch.setattr(linearized, "gap_side_at", fake_gap_side_at)
     val = sigma_star((0.8, 1.0), 0.0)
     lo = max(s for s in calls if s < 0.9)
     hi = min(s for s in calls if s >= 0.9)
@@ -130,9 +155,43 @@ def test_sigma_star_rejects_nan_or_negative_tol(monkeypatch, tol):
     def no_gap_evaluation(sigma, config):
         raise AssertionError("a bad tol must be rejected before any run")
 
-    monkeypatch.setattr(linearized, "gap_holds_at", no_gap_evaluation)
+    monkeypatch.setattr(linearized, "gap_side_at", no_gap_evaluation)
     with pytest.raises(ValueError, match="tol"):
         sigma_star((0.8, 1.0), tol)
+
+
+def test_gap_side_without_ell_0_or_finite_ratio_has_no_estimate(monkeypatch):
+    cfg = SigmaStarConfig(n=1500)
+    holds, d = gap_side_at(0.85, cfg)
+    assert not holds and d < 0.0
+    assert gap_side_at(0.85, SigmaStarConfig(n=1500, ells=(1,)))[1] is None
+    scan = linearized.gap_scan
+
+    def scan_without_ratios(pair):
+        report = scan(pair)
+        nan = {name: dict.fromkeys(chans, np.nan)
+               for name, chans in report.tail_ratios.items()}
+        return dataclasses.replace(report, tail_ratios=nan)
+
+    monkeypatch.setattr(linearized, "gap_scan", scan_without_ratios)
+    assert gap_side_at(0.85, cfg) == (holds, None)
+
+
+def test_sigma_star_without_estimates_bisects(monkeypatch):
+    calls = []
+
+    def fake_gap_side_at(sigma, config):
+        calls.append(sigma)
+        return sigma >= 0.9, None
+
+    monkeypatch.setattr(linearized, "gap_side_at", fake_gap_side_at)
+    val = sigma_star((0.8, 1.0), 1e-3)
+    assert calls[:2] == [0.8, 1.0]
+    lo, hi = 0.8, 1.0
+    for s in calls[2:]:
+        assert s == 0.5 * (lo + hi)
+        lo, hi = (lo, s) if s >= 0.9 else (s, hi)
+    assert hi - lo <= 1e-3 and val == 0.5 * (lo + hi)
 
 
 @pytest.mark.slow

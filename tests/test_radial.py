@@ -170,7 +170,7 @@ def test_bisect_ends_at_tol_or_float_resolution(lo, hi, c, tol):
     assert abs(x - c) <= max(tol, np.spacing(abs(c)))
 
 
-@pytest.mark.parametrize("tol", [np.nan, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
 def test_bisect_rejects_nan_or_negative_tol(tol):
     def pred(x):
         raise AssertionError("a bad tol must be rejected before any call")
@@ -224,6 +224,21 @@ def test_bracketed_root_biased_estimate_beats_bisection(lo, hi, c, tol):
     plain, bisect_calls = _counted(lambda x: (x >= c, None))
     bracketed_root(plain, lo, hi, tol)
     assert len(calls) < len(bisect_calls)
+
+
+@pytest.mark.parametrize("lo, hi, c", [
+    (0.0, 1.0, 0.3),
+    (0.0, 1.0, 0.123456789),
+    (-3.0, -2.0, -2.7),
+    (-1.0, 1.0, 0.0),
+])
+def test_bracketed_root_minimum_step_ends_a_right_estimate(lo, hi, c):
+    # the estimate never accepts a point, so the bracket must close on the
+    # root: the candidate at the root is followed by one tol/2 away
+    f, calls = _counted(lambda x: (x >= c, x - c))
+    x, (lo, hi), _ = bracketed_root(f, lo, hi, 1e-3)
+    assert len(calls) <= 3
+    assert lo <= c <= hi and hi - lo <= 1e-3 and x == 0.5 * (lo + hi)
 
 
 def test_bracketed_root_one_sided_estimate_still_ends():

@@ -179,8 +179,10 @@ def cmd_weinstein(args):
 
 
 def cmd_jn_demo(args):
-    rng = np.random.default_rng(args.seed)
     dim, rank = args.dim, args.rank
+    if not 0 < rank < dim:
+        raise ValueError(f"need 0 < --rank < --dim, got {rank} and {dim}")
+    rng = np.random.default_rng(args.seed)
     Q = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
     vals = np.concatenate([np.zeros(rank), rng.uniform(0.5, 3.0, dim - rank)])
     A0 = Q @ np.diag(vals) @ Q.T
@@ -200,6 +202,11 @@ def cmd_jn_demo(args):
 
 
 def cmd_laurent(args):
+    if not args.points >= 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
+    for flag, rho in (("--rho-min", args.rho_min), ("--rho-max", args.rho_max)):
+        if not 0.0 < rho < math.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {rho}")
     xs = np.linspace(0.5, 5.0, args.points)
     if args.free_d == 1:
         def sampler(z):
@@ -392,7 +399,9 @@ def build_parser(exit_on_error=True):
                 "locate the gap-breakdown exponent", (40.0, 3000))
     p.add_argument("--lo", type=float, default=0.8)
     p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", type=float, default=1e-3, help=(
+        "final bracket width; the gap side flips more than once within about "
+        "5e-13 of sigma*, so below about 1e-11 it buys ground states, not digits"))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--ells", type=int, nargs="+", default=[0, 1])

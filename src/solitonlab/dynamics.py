@@ -30,13 +30,7 @@ from .spectral import negative_eigenpairs
 
 _BACKGROUND_CACHE = {}
 _MODE_CACHE = {}
-_CFL = 0.9  # the default step is _CFL h, also the largest one accepted
-
-
-def nonlinearity_N(u, phi):
-    """The beyond-linear part of (phi + u)^5 - phi^5 - 5 phi^4 u."""
-    return 10.0 * u ** 2 * phi ** 3 + 10.0 * u ** 3 * phi ** 2 \
-        + 5.0 * u ** 4 * phi + u ** 5
+_CFL = 0.9  # the leapfrog step is _CFL h
 
 
 def static_background(grid: RadialGrid) -> np.ndarray:
@@ -218,23 +212,17 @@ class _Run:
         return np.abs(self.pert_w / self.grid.nodes).max(axis=1)
 
 
-def _time_grid(grid: RadialGrid, t_final: float, dt, config: EvolveConfig):
-    """(dt, n_steps, stride) of a run; dt defaults to _CFL h."""
+def _time_grid(grid: RadialGrid, t_final: float, config: EvolveConfig):
+    """(dt, n_steps, stride) of a run, with dt = _CFL h."""
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
-    h = grid.h
-    if dt is None:
-        dt = _CFL * h
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if dt > _CFL * h + 1e-15:
-        raise ValueError(f"dt = {dt} violates the CFL bound {_CFL} h = {_CFL * h}")
+    dt = _CFL * grid.h
     n_steps = max(1, int(round(t_final / dt)))
     stride = max(1, int(round(config.stride_time / dt)))
     return dt, n_steps, stride
 
 
-def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
+def _step(initial: RadialState, t_final: float, config: EvolveConfig,
           early_exit: bool = False) -> _Run:
     """Leapfrog core shared by evolve_nlw and the stable-manifold search.
 
@@ -250,7 +238,7 @@ def _step(initial: RadialState, t_final: float, dt, config: EvolveConfig,
     r = grid.nodes
     h = grid.h
     n = grid.n
-    dt, n_steps, stride = _time_grid(grid, t_final, dt, config)
+    dt, n_steps, stride = _time_grid(grid, t_final, config)
     w_bg = static_background(grid)
     mode = unstable_mode(grid)
 
@@ -334,7 +322,7 @@ def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
     run give the same offset.  The early exit reads n_plus of the stepped
     field, the perturbation of find_stable_h's data.
     """
-    run = _step(initial, t_final, None, config, early_exit=True)
+    run = _step(initial, t_final, config, early_exit=True)
     outcome = _outcome(run, config)[0]
     n_plus = run.n_plus
     linear = np.abs(n_plus[1:_exit_index(run, config)]) <= _LINEAR_N_PLUS
@@ -345,18 +333,18 @@ def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
     return outcome, offset
 
 
-def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
+def evolve_nlw(initial: RadialState, t_final: float,
                config: EvolveConfig = EvolveConfig()) -> Trajectory:
     """Leapfrog evolution of the radial quintic wave equation.
 
     Full-frame states advance the field itself; perturbation-frame states
     advance the deviation from the static background with exact background
-    cancellation.  dt defaults to the CFL step 0.9 h.  Records sup
+    cancellation.  The step is the CFL step 0.9 h.  Records sup
     |psi - phi|, energy, the local energy inside r <= 5, and the
     unstable-mode amplitude n_plus at every output stride, then classifies
     the outcome (stationary / dispersal / blowup / undecided; see _outcome).
     """
-    run = _step(initial, t_final, dt, config)
+    run = _step(initial, t_final, config)
     grid = initial.grid
     r = grid.nodes
     ip = 4.0 * np.pi
@@ -374,39 +362,6 @@ def evolve_nlw(initial: RadialState, t_final: float, dt: float = None,
                       n_plus_series=run.n_plus, energy_series=energy,
                       outcome=outcome, blowup_time=blowup_time,
                       exit_time=exit_time, dt=run.dt, background=run.w_bg)
-
-
-@dataclass(frozen=True)
-class ModeDecomposition:
-    n_plus: float
-    n_minus: float
-    u_tilde: RadialState
-    k: float
-    g: np.ndarray = field(repr=False)
-
-
-def mode_decompose(state: RadialState, g: np.ndarray, k: float) -> ModeDecomposition:
-    """Split a perturbation state along G+- = (g, +-k g) plus the remainder.
-
-    n+- = (<u, g> +- <u_t, g>/k)/2 in the L^2(R^3) pairing; the remainder
-    is g-orthogonal in both slots and the reconstruction is exact.
-    """
-    if state.frame != "perturbation":
-        raise ValueError("mode_decompose expects a perturbation-frame state")
-    if not 0.0 < k < math.inf:
-        raise ValueError(f"k must be positive and finite, got {k}")
-    grid = state.grid
-    nrm = 4.0 * np.pi * integrate(grid, (grid.nodes * g) ** 2)
-    if abs(nrm - 1.0) > 1e-8:
-        raise ValueError(f"g is not unit-normalized: |g|^2 = {nrm}")
-    a = inner_3d(grid, state.u, g)
-    b = inner_3d(grid, state.ut, g)
-    n_plus = 0.5 * (a + b / k)
-    n_minus = 0.5 * (a - b / k)
-    u_t = RadialState(grid, state.u - (n_plus + n_minus) * g,
-                      state.ut - (n_plus - n_minus) * k * g, "perturbation")
-    return ModeDecomposition(n_plus=n_plus, n_minus=n_minus, u_tilde=u_t,
-                             k=k, g=g)
 
 
 def _voc_weights(k: float, dt: float):
@@ -556,7 +511,7 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
     config = EvolveConfig()
-    dt, n_steps, stride = _time_grid(grid, t_horizon, None, config)
+    dt, n_steps, stride = _time_grid(grid, t_horizon, config)
     t_need = _min_fit_horizon(dt, stride)
     if (n_steps // stride) * stride * dt < t_need:
         raise ValueError(

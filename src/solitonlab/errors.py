@@ -13,10 +13,6 @@ class SingularSolveError(NumericsError):
     """A linear solve hit a (numerically) singular operator."""
 
 
-class ZeroEnergyObstruction(SingularSolveError):
-    """Zero-energy inversion blocked by an eigenvalue or resonance."""
-
-
 class TailFitError(NumericsError):
     """Asymptotic tail fit failed; the fit window is too small."""
 

@@ -33,9 +33,6 @@ class LinearizedPair:
     L_minus: dict = field(repr=False)
     alpha_sq: float = 0.0
 
-    def channels(self):
-        return sorted(self.L_plus.keys())
-
 
 @dataclass(frozen=True)
 class GapReport:
@@ -137,11 +134,6 @@ def gap_side_at(sigma: float, config: SigmaStarConfig = SigmaStarConfig()):
     return report.gap_holds, d
 
 
-def gap_holds_at(sigma: float, config: SigmaStarConfig = SigmaStarConfig()) -> bool:
-    """Shoot a fresh ground state at this sigma and evaluate the gap."""
-    return gap_side_at(sigma, config)[0]
-
-
 def sigma_star(bracket, tol: float = 1e-3,
                config: SigmaStarConfig = SigmaStarConfig()) -> float:
     """The gap-property breakdown point, to within tol.
@@ -156,6 +148,10 @@ def sigma_star(bracket, tol: float = 1e-3,
     holds at the upper.  A tol that is nan, negative or infinite, a
     bracket end that is not finite, and an alpha that is not positive and
     finite, raise ValueError before the first evaluation.
+
+    A tol below about 1e-11 buys ground states, not digits: the gap side
+    flips more than once within about 5e-13 of sigma* (d is noise there),
+    so a tol = 0 search ends on adjacent floats somewhere in that band.
     """
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")

@@ -1,6 +1,5 @@
-"""Low-energy resolvent machinery: singular-family inversion, the symmetric
-resolvent identity, Laurent coefficient fits, free kernels, and zero-mode
-classification.
+"""Low-energy resolvent machinery: singular-family inversion, Laurent
+coefficient fits, free kernels, and zero-mode classification.
 
 Operators live as finite matrices on the half-line grid; the weighted-space
 topologies of the continuum theory are replaced by fixed discretizations
@@ -11,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAZeroModeError, SingularSolveError, ZeroEnergyObstruction
+from .errors import NotAZeroModeError, SingularSolveError
 from .radial import (RadialGrid, apply_operator, assemble_channel_operator,
                      fit_loglog_slope, inner_3d, integrate)
 
@@ -62,12 +61,11 @@ def jensen_nenciu_invert(family: SingularFamily, z) -> dict:
       A(z)^{-1} = (A+S)^{-1} + (1/z) (A+S)^{-1} S B^{-1} S (A+S)^{-1}.
 
     Raises SingularSolveError when B is numerically singular (meaning A(z)
-    itself is singular).
+    itself is singular), and ValueError for a z that is 0 or not finite.
     """
-    if z == 0:
-        raise ValueError("z must be nonzero")
+    if z == 0 or not np.isfinite(z):
+        raise ValueError(f"z must be finite and nonzero, got {z}")
     Az = family.A(z)
-    n = Az.shape[0]
     ApS = Az + family.S
     cond = np.linalg.cond(ApS)
     if not np.isfinite(cond) or cond > 1e12:
@@ -94,29 +92,6 @@ def jensen_nenciu_invert(family: SingularFamily, z) -> dict:
             f"inversion verification failed (defect {check:.2e}): "
             "A(z) is numerically singular")
     return {"A_inv": A_inv, "B": B}
-
-
-def symmetric_resolvent(R0: np.ndarray, V: np.ndarray, z) -> np.ndarray:
-    """R_V = R0 - R0 v (U + v R0 v)^{-1} v R0 with V = v^2 U, U = sign V.
-
-    R0 is the free resolvent at z as a matrix on the same discretization.
-    The inner operator U + v R0 v has its scale anchored at 1 by the sign
-    matrix; a smallest singular value below 0.05 signals a zero-energy
-    eigenvalue or resonance of -Lap + V (the discrete shadow of the
-    inversion obstruction), raised as ZeroEnergyObstruction.
-    """
-    V = np.asarray(V, dtype=float)
-    v = np.sqrt(np.abs(V))
-    U = np.sign(V)
-    U[U == 0.0] = 1.0
-    inner = np.diag(U) + v[:, None] * R0 * v[None, :]
-    smin = np.linalg.svd(inner, compute_uv=False)[-1]
-    if smin < 0.05:
-        raise ZeroEnergyObstruction(
-            f"U + v R0 v numerically singular (smallest singular value "
-            f"{smin:.2e}): zero energy is an eigenvalue or resonance")
-    correction = np.linalg.solve(inner, v[:, None] * R0)
-    return R0 - R0 * v[None, :] @ correction
 
 
 @dataclass(frozen=True)
@@ -185,12 +160,6 @@ def halfline_free_kernel(z: complex, r: float, s: float) -> complex:
     if z == 0:
         return complex(lo)
     return np.sin(z * lo) * np.exp(1j * z * hi) / z
-
-
-def zero_energy_green_matrix(grid: RadialGrid) -> np.ndarray:
-    """min(r, s) with quadrature weights: the ell = 0 kernel of (-d^2/dr^2)^{-1}."""
-    r = grid.nodes
-    return np.minimum.outer(r, r) * grid.weights[None, :]
 
 
 def classify_zero_mode(V: np.ndarray, f: np.ndarray, grid: RadialGrid,

@@ -18,11 +18,9 @@ import numpy as np
 
 from ._kernels import rk4_shoot
 from .errors import ConvergenceError
-from .radial import (RadialGrid, bracketed_root, fit_loglog_slope,
-                     inner_3d, integrate, make_grid)
+from .radial import RadialGrid, bracketed_root
 
-_OVERSHOOT = 1
-_UNDERSHOOT = 2
+_OVERSHOOT = 1  # rk4_shoot's status of a shot that crossed zero
 
 
 def aubin_phi(r, a: float):
@@ -164,33 +162,6 @@ def nls_ground_state(sigma: float, alpha: float, d: int,
                           decay_rate=rate)
 
 
-def rescale_ground_state(profile: NlsGroundState,
-                         alpha_new: float) -> NlsGroundState:
-    """Exact scaling map phi(x, alpha) = alpha^(1/sigma) phi(alpha x, 1).
-
-    The grid is rescaled by alpha/alpha_new so samples map node-to-node
-    with no interpolation.
-    """
-    if not alpha_new > 0.0:
-        raise ValueError(f"alpha_new must be positive, got {alpha_new}")
-    ratio = alpha_new / profile.alpha
-    scale = ratio ** (1.0 / profile.sigma)
-    grid = make_grid(profile.grid.r_max / ratio, profile.grid.n)
-    return NlsGroundState(sigma=profile.sigma, alpha=float(alpha_new),
-                          d=profile.d, grid=grid,
-                          samples=scale * profile.samples,
-                          center_value=scale * profile.center_value,
-                          decay_rate=ratio * profile.decay_rate)
-
-
-def ground_state_mass(profile: NlsGroundState) -> float:
-    """Squared L^2 norm of the profile (d-dimensional radial measure)."""
-    g = profile.grid
-    if profile.d == 3:
-        return inner_3d(g, profile.samples, profile.samples)
-    return 2.0 * integrate(g, profile.samples ** 2)
-
-
 def d_alpha_ground_state(profile: NlsGroundState) -> np.ndarray:
     """d phi / d alpha by centered differencing (step 1e-4 alpha) of fresh shots."""
     da = 1e-4 * profile.alpha
@@ -199,9 +170,3 @@ def d_alpha_ground_state(profile: NlsGroundState) -> np.ndarray:
     dn = nls_ground_state(profile.sigma, profile.alpha - da, profile.d,
                           profile.grid)
     return (up.samples - dn.samples) / (2.0 * da)
-
-
-def profile_tail_slope(grid: RadialGrid, samples: np.ndarray) -> float:
-    """Log-log tail slope of |samples| over [0.5 r_max, r_max]."""
-    win = (grid.nodes >= 0.5 * grid.r_max) & (grid.nodes <= grid.r_max)
-    return fit_loglog_slope(grid.nodes[win], samples[win])

@@ -1,20 +1,17 @@
-"""Half-line spectral analysis: bound states, node counts, zero-energy
-classification, and Birman-Schwinger counting.
+"""Half-line spectral analysis: bound states, zero-energy classification,
+and Birman-Schwinger counting.
 
-Bound states are counted by Sturm sign counts and by the sign flips of
-the regular shooting solution, the same recurrence that the zero-energy
-and edge diagnoses read (exact counting, mirroring the oscillation-theory
-argument that underpins every spectral claim here); eigenvalue_by_index
-is a Sturm bisection by radial.bracketed_root, which stops at its
-tolerance or at float resolution; eigenpairs and the eigenvalues in a
-window come from LAPACK's tridiagonal bisection and inverse iteration
-(stebz/stein).  The Birman-Schwinger section counts
+Bound states are counted by Sturm sign counts (exact counting, mirroring
+the oscillation-theory argument that underpins every spectral claim
+here); eigenvalue_by_index is a Sturm bisection by radial.bracketed_root,
+which stops at its tolerance or at float resolution; eigenpairs and the
+eigenvalues in a window come from LAPACK's tridiagonal bisection and
+inverse iteration (stebz/stein).  The Birman-Schwinger section counts
 eigenvalues near or above 1 of the explicit zero-energy kernel
 min(r,s)^(l+1) max(r,s)^(-l) / (2l+1) per channel.  That kernel is a
 semiseparable (Green's) matrix whose inverse is exactly tridiagonal
 (Gantmacher-Krein), so the count is one Sturm count of the inverse and
-the leading eigenvalues come from LAPACK's tridiagonal bisection; the dense
-kernel, birman_schwinger_matrix, is kept as the paper's formula.
+the leading eigenvalues come from LAPACK's tridiagonal bisection.
 """
 
 from dataclasses import dataclass, field
@@ -62,23 +59,9 @@ def count_eigenvalues_below(op: ChannelOperator, energy: float) -> int:
     """Sturm count of operator eigenvalues strictly below `energy`.
 
     Counts over the interior Dirichlet block: the pinned truncation row
-    (its huge positive diagonal, decoupled) is left out, as in count_nodes.
+    (its huge positive diagonal, decoupled) is left out.
     """
     return sturm_count(op.diagonal[:-1], op.off_diagonal[:-1], energy)
-
-
-def count_nodes(op: ChannelOperator, energy: float) -> int:
-    """Sign changes of the regular solution of (op - E) w = 0.
-
-    Counts the np.signbit flips of regular_solution, which by discrete
-    oscillation theory equal the eigenvalues of the interior Dirichlet
-    block below `energy`, as count_eigenvalues_below.  The shooting
-    recurrence renormalizes on overflow and signbit keeps the sign of an
-    entry that renormalization underflows to +-0, so deeply negative
-    energies are safe.
-    """
-    s = np.signbit(regular_solution(op, energy))
-    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def regular_solution(op: ChannelOperator, energy: float) -> np.ndarray:
@@ -248,30 +231,6 @@ class BirmanSchwingerReport:
     total_with_multiplicity: int
     top_eigenvalues: list[list[float]]
     threshold_eps: float
-
-
-def birman_schwinger_matrix(potential: np.ndarray, ell: int,
-                            grid: RadialGrid) -> np.ndarray:
-    """Quadrature-symmetrized kernel |V|^(1/2) G_l |V|^(1/2) at zero energy.
-
-    G_l(r,s) = min(r,s)^(l+1) max(r,s)^(-l) / (2l+1) is the reduced
-    half-line Green kernel of the free operator in channel l.
-    """
-    r = grid.nodes
-    vh = np.sqrt(np.abs(potential) * grid.weights)
-    rmin = np.minimum.outer(r, r)
-    rmax = np.maximum.outer(r, r)
-    G = rmin ** (ell + 1) * rmax ** float(-ell) / (2 * ell + 1)
-    K = vh[:, None] * G * vh[None, :]
-    _check_symmetric(K)
-    return K
-
-
-def _check_symmetric(K: np.ndarray):
-    """Raise NumericsError unless K is symmetric to 1e-10 of its scale."""
-    asym = np.abs(K - K.T).max()
-    if not asym <= 1e-10 * max(1.0, np.abs(K).max()):
-        raise NumericsError(f"Birman-Schwinger assembly asymmetry {asym:.2e}")
 
 
 def green_inverse(nodes: np.ndarray, ell: int):

@@ -8,9 +8,17 @@ The dense-matrix oracles (operator matrix, constrained infimum mu0, the
 symmetrized quadratic form, the eigendecomposition propagators) are O(n^3)
 and meant for small n.  The stable-manifold search twin classifies every
 candidate by a full evolve_nlw run instead of an early-stopped one.
+
+The paper's formulas that no experiment computes live here too, each
+checked against the package by the tests: node counting by the sign flips
+of the regular shooting solution, the dense Birman-Schwinger kernel, the
+symmetric resolvent identity with the zero-energy Green matrix, the
+unstable-mode decomposition, the quintic nonlinearity N(u), and the NLS
+ground-state scaling map, mass and tail slope.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -18,6 +26,11 @@ from scipy.linalg import eigh_tridiagonal
 
 from solitonlab.dynamics import (EvolveConfig, RadialState, evolve_nlw,
                                  project_to_sigma0, unstable_mode)
+from solitonlab.errors import NumericsError, SingularSolveError
+from solitonlab.radial import (ChannelOperator, RadialGrid, fit_loglog_slope,
+                               inner_3d, integrate, make_grid)
+from solitonlab.solitons import NlsGroundState
+from solitonlab.spectral import regular_solution
 
 
 def quad_oracle(f, a, b, **kw):
@@ -293,3 +306,146 @@ def full_run_stable_h_search(f1, f2, grid, bracket_width, t_horizon):
             hi = hc
     return (0.5 * (lo + hi), (lo, hi), below, above, len(outcomes) + 1,
             n_estimates, outcomes)
+
+
+def count_nodes(op: ChannelOperator, energy: float) -> int:
+    """Sign changes of the regular solution of (op - E) w = 0.
+
+    Counts the np.signbit flips of regular_solution, which by discrete
+    oscillation theory equal the eigenvalues of the interior Dirichlet
+    block below `energy`, as count_eigenvalues_below.  The shooting
+    recurrence renormalizes on overflow and signbit keeps the sign of an
+    entry that renormalization underflows to +-0, so deeply negative
+    energies are safe.
+    """
+    s = np.signbit(regular_solution(op, energy))
+    return int(np.count_nonzero(s[1:] != s[:-1]))
+
+
+def birman_schwinger_matrix(potential: np.ndarray, ell: int,
+                            grid: RadialGrid) -> np.ndarray:
+    """Quadrature-symmetrized kernel |V|^(1/2) G_l |V|^(1/2) at zero energy.
+
+    G_l(r,s) = min(r,s)^(l+1) max(r,s)^(-l) / (2l+1) is the reduced
+    half-line Green kernel of the free operator in channel l.
+    """
+    r = grid.nodes
+    vh = np.sqrt(np.abs(potential) * grid.weights)
+    rmin = np.minimum.outer(r, r)
+    rmax = np.maximum.outer(r, r)
+    G = rmin ** (ell + 1) * rmax ** float(-ell) / (2 * ell + 1)
+    K = vh[:, None] * G * vh[None, :]
+    _check_symmetric(K)
+    return K
+
+
+def _check_symmetric(K: np.ndarray):
+    """Raise NumericsError unless K is symmetric to 1e-10 of its scale."""
+    asym = np.abs(K - K.T).max()
+    if not asym <= 1e-10 * max(1.0, np.abs(K).max()):
+        raise NumericsError(f"Birman-Schwinger assembly asymmetry {asym:.2e}")
+
+
+class ZeroEnergyObstruction(SingularSolveError):
+    """Zero-energy inversion blocked by an eigenvalue or resonance."""
+
+
+def symmetric_resolvent(R0: np.ndarray, V: np.ndarray, z) -> np.ndarray:
+    """R_V = R0 - R0 v (U + v R0 v)^{-1} v R0 with V = v^2 U, U = sign V.
+
+    R0 is the free resolvent at z as a matrix on the same discretization.
+    The inner operator U + v R0 v has its scale anchored at 1 by the sign
+    matrix; a smallest singular value below 0.05 signals a zero-energy
+    eigenvalue or resonance of -Lap + V (the discrete shadow of the
+    inversion obstruction), raised as ZeroEnergyObstruction.
+    """
+    V = np.asarray(V, dtype=float)
+    v = np.sqrt(np.abs(V))
+    U = np.sign(V)
+    U[U == 0.0] = 1.0
+    inner = np.diag(U) + v[:, None] * R0 * v[None, :]
+    smin = np.linalg.svd(inner, compute_uv=False)[-1]
+    if smin < 0.05:
+        raise ZeroEnergyObstruction(
+            f"U + v R0 v numerically singular (smallest singular value "
+            f"{smin:.2e}): zero energy is an eigenvalue or resonance")
+    correction = np.linalg.solve(inner, v[:, None] * R0)
+    return R0 - R0 * v[None, :] @ correction
+
+
+def zero_energy_green_matrix(grid: RadialGrid) -> np.ndarray:
+    """min(r, s) with quadrature weights: the ell = 0 kernel of (-d^2/dr^2)^{-1}."""
+    r = grid.nodes
+    return np.minimum.outer(r, r) * grid.weights[None, :]
+
+
+def nonlinearity_N(u, phi):
+    """The beyond-linear part of (phi + u)^5 - phi^5 - 5 phi^4 u."""
+    return 10.0 * u ** 2 * phi ** 3 + 10.0 * u ** 3 * phi ** 2 \
+        + 5.0 * u ** 4 * phi + u ** 5
+
+
+@dataclass(frozen=True)
+class ModeDecomposition:
+    n_plus: float
+    n_minus: float
+    u_tilde: RadialState
+    k: float
+    g: np.ndarray = field(repr=False)
+
+
+def mode_decompose(state: RadialState, g: np.ndarray, k: float) -> ModeDecomposition:
+    """Split a perturbation state along G+- = (g, +-k g) plus the remainder.
+
+    n+- = (<u, g> +- <u_t, g>/k)/2 in the L^2(R^3) pairing; the remainder
+    is g-orthogonal in both slots and the reconstruction is exact.
+    """
+    if state.frame != "perturbation":
+        raise ValueError("mode_decompose expects a perturbation-frame state")
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite, got {k}")
+    grid = state.grid
+    nrm = 4.0 * np.pi * integrate(grid, (grid.nodes * g) ** 2)
+    if abs(nrm - 1.0) > 1e-8:
+        raise ValueError(f"g is not unit-normalized: |g|^2 = {nrm}")
+    a = inner_3d(grid, state.u, g)
+    b = inner_3d(grid, state.ut, g)
+    n_plus = 0.5 * (a + b / k)
+    n_minus = 0.5 * (a - b / k)
+    u_t = RadialState(grid, state.u - (n_plus + n_minus) * g,
+                      state.ut - (n_plus - n_minus) * k * g, "perturbation")
+    return ModeDecomposition(n_plus=n_plus, n_minus=n_minus, u_tilde=u_t,
+                             k=k, g=g)
+
+
+def rescale_ground_state(profile: NlsGroundState,
+                         alpha_new: float) -> NlsGroundState:
+    """Exact scaling map phi(x, alpha) = alpha^(1/sigma) phi(alpha x, 1).
+
+    The grid is rescaled by alpha/alpha_new so samples map node-to-node
+    with no interpolation.
+    """
+    if not alpha_new > 0.0:
+        raise ValueError(f"alpha_new must be positive, got {alpha_new}")
+    ratio = alpha_new / profile.alpha
+    scale = ratio ** (1.0 / profile.sigma)
+    grid = make_grid(profile.grid.r_max / ratio, profile.grid.n)
+    return NlsGroundState(sigma=profile.sigma, alpha=float(alpha_new),
+                          d=profile.d, grid=grid,
+                          samples=scale * profile.samples,
+                          center_value=scale * profile.center_value,
+                          decay_rate=ratio * profile.decay_rate)
+
+
+def ground_state_mass(profile: NlsGroundState) -> float:
+    """Squared L^2 norm of the profile (d-dimensional radial measure)."""
+    g = profile.grid
+    if profile.d == 3:
+        return inner_3d(g, profile.samples, profile.samples)
+    return 2.0 * integrate(g, profile.samples ** 2)
+
+
+def profile_tail_slope(grid: RadialGrid, samples: np.ndarray) -> float:
+    """Log-log tail slope of |samples| over [0.5 r_max, r_max]."""
+    win = (grid.nodes >= 0.5 * grid.r_max) & (grid.nodes <= grid.r_max)
+    return fit_loglog_slope(grid.nodes[win], samples[win])

@@ -13,7 +13,7 @@ from scipy.linalg import eigh_tridiagonal
 import solitonlab.dynamics as dynamics
 from solitonlab.dynamics import (RadialState, evolve_nlw, evolve_unstable_mode,
                                  find_stable_h, linear_propagate,
-                                 mode_decompose, project_to_sigma0, sine_split,
+                                 project_to_sigma0, sine_split,
                                  stability_initial_condition,
                                  static_background, unstable_mode)
 from solitonlab.errors import SingularSolveError
@@ -30,6 +30,8 @@ from solitonlab.solitons import (aubin_dphi_da, aubin_dphi_dr, aubin_values,
 from solitonlab.spectral import (birman_schwinger_count,
                                  count_eigenvalues_below, eigenvalue_by_index,
                                  negative_eigenpairs, zero_energy_diagnosis)
+
+from oracles import mode_decompose
 
 pytestmark = pytest.mark.acceptance
 

@@ -1,6 +1,8 @@
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +329,12 @@ def test_stable_h_short_horizon_exit_2(tmp_path, capsys):
     ["sigma-star", "--n", "400", "--tol", "inf"],
     ["stable-h", "--n", "400", "--r-max", "20", "--tol", "inf"],
     ["sigma-star", "--n", "400", "--lo", "nan"],
+    ["jn-demo", "--z", "inf"],
+    ["jn-demo", "--z", "nan"],
+    ["jn-demo", "--dim", "2", "--rank", "2"],
+    ["laurent", "--points", "0"],
+    ["laurent", "--rho-min", "inf"],
+    ["laurent", "--rho-min=-1e-5"],
 ])
 def test_bad_time_values_exit_2(tmp_path, capsys, args):
     rc, out = run_cli(args, tmp_path, "badtime")
@@ -339,3 +347,29 @@ def test_mode_ode_dt_past_horizon_names_it(tmp_path, capsys):
     rc, _ = run_cli(["mode-ode", "--n", "400", "--dt", "100"], tmp_path, "mo")
     assert rc == 2
     assert "horizon 20/k" in capsys.readouterr().err
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_every_public_package_name_has_a_caller():
+    # a public top-level function or class of the package must be reached
+    # by package code (a name or attribute use; an import alone does not
+    # count) or by the benchmark; test-only helpers belong in tests/oracles.py
+    modules = {p.stem: ast.parse(p.read_text())
+               for p in sorted((REPO / "src" / "solitonlab").glob("*.py"))}
+    used = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    bench = "".join(p.read_text() for p in (REPO / "perfbench").glob("*.py")
+                    if not p.name.startswith("test_"))
+    uncalled = [f"{mod}.{node.name}" for mod, tree in modules.items()
+                for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")
+                and node.name not in used and node.name not in bench]
+    assert not uncalled, f"no caller outside the tests: {uncalled}"

@@ -6,7 +6,7 @@ import pytest
 from solitonlab import linearized
 from solitonlab.errors import BracketError
 from solitonlab.linearized import (SigmaStarConfig, assemble_linearized_pair,
-                                   gap_holds_at, gap_scan, gap_side_at,
+                                   gap_scan, gap_side_at,
                                    instability_criterion, mu0, sigma_star,
                                    weinstein_h, weinstein_h_from_scaling)
 from solitonlab.radial import apply_operator, integrate, make_grid
@@ -116,7 +116,7 @@ def test_sigma_star_default_grid(monkeypatch):
     hi = min(s for s, holds in sides.items() if holds)
     assert hi - lo <= 1e-3 and val == 0.5 * (lo + hi)
     monkeypatch.undo()
-    assert not gap_holds_at(lo) and gap_holds_at(hi)
+    assert not gap_side_at(lo)[0] and gap_side_at(hi)[0]
 
 
 def test_sigma_star_bad_bracket():
@@ -127,7 +127,7 @@ def test_sigma_star_bad_bracket():
 def test_sigma_star_single_crossing_coarse():
     # gap_holds flips exactly once over a sigma sweep
     cfg = SigmaStarConfig(n=1500)
-    flags = [gap_holds_at(s, cfg) for s in np.linspace(0.82, 0.98, 9)]
+    flags = [gap_side_at(s, cfg)[0] for s in np.linspace(0.82, 0.98, 9)]
     flips = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
     assert flips == 1
     assert not flags[0] and flags[-1]

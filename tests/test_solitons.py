@@ -5,12 +5,11 @@ from solitonlab import solitons
 from solitonlab.radial import (apply_operator, assemble_channel_operator,
                                integrate, make_grid)
 from solitonlab.solitons import (aubin_dphi_da, aubin_phi, aubin_potential,
-                                 aubin_values,
-                                 d_alpha_ground_state, ground_state_mass,
-                                 nls_ground_state, profile_tail_slope,
-                                 rescale_ground_state)
+                                 aubin_values, d_alpha_ground_state,
+                                 nls_ground_state)
 
-from oracles import rk2_shoot_ground_state
+from oracles import (ground_state_mass, profile_tail_slope,
+                     rescale_ground_state, rk2_shoot_ground_state)
 
 
 def test_aubin_center_values():

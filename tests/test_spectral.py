@@ -5,13 +5,13 @@ from scipy.linalg import eigh_tridiagonal
 from solitonlab.errors import NotAZeroModeError, NumericsError
 from solitonlab.radial import assemble_channel_operator, integrate, make_grid
 from solitonlab.solitons import aubin_dphi_da, aubin_dphi_dr, aubin_values
-from solitonlab.spectral import (_check_symmetric, birman_schwinger_count,
-                                 birman_schwinger_matrix, count_nodes,
+from solitonlab.spectral import (birman_schwinger_count,
                                  count_eigenvalues_below, eigenvalue_by_index,
                                  green_inverse, negative_eigenpairs,
                                  regular_solution, zero_energy_diagnosis)
 
-from oracles import dense_matrix
+from oracles import (_check_symmetric, birman_schwinger_matrix, count_nodes,
+                     dense_matrix)
 
 
 @pytest.fixture(scope="module")

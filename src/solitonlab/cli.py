@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -46,9 +47,12 @@ def _run(args) -> int:
     """Run the subcommand and write its files plus manifest.json.
 
     A command returns {file name: JSON payload | (CSV header, columns)},
-    and evolve also its exit code; nothing is written when it raises.
+    and evolve also its exit code; nothing is written when it raises.  The
+    manifest records the command's wall time and the process's peak RSS.
     """
+    t0 = time.perf_counter()
     files = args.func(args)
+    wall_s = time.perf_counter() - t0
     code = 0
     if isinstance(files, tuple):
         files, code = files
@@ -65,6 +69,9 @@ def _run(args) -> int:
         "grid": {"r_max": getattr(args, "r_max", None),
                  "n": getattr(args, "n", None)},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "wall_s": wall_s,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     for name, data in files.items():
         if isinstance(data, tuple):

@@ -173,7 +173,8 @@ class _Run:
 
     W and V hold the stepped field w - bg and its velocity at the snapshots
     written; reason is the stepper's (0 horizon, 1 cap, 2 non-finite,
-    3 decided).  The derived series are computed on first use.
+    3 decided).  The derived series are computed on first use, each with
+    at most one scratch array of the size of W.
     """
 
     grid: RadialGrid
@@ -191,25 +192,33 @@ class _Run:
     def times(self):
         return np.arange(len(self.W)) * self.stride * self.dt
 
-    @cached_property
-    def pert_w(self):
-        return self.W if self.bg is self.w_bg else self.W - self.w_bg
+    def _perturbation_op(self, ufunc, x, m=None):
+        """ufunc(w - w_bg, x) on the first m nodes of every snapshot, in one
+        new array."""
+        W = self.W[:, :m]
+        if self.bg is self.w_bg:
+            return ufunc(W, x)
+        s = np.subtract(W, self.w_bg[:m])
+        return ufunc(s, x, out=s)
 
-    @cached_property
-    def psi(self):
-        return (self.W + self.bg) / self.grid.nodes
+    def sup_deviation(self, m=None):
+        """max |psi - phi| over the first m nodes at every snapshot."""
+        s = self._perturbation_op(np.divide, self.grid.nodes[:m], m)
+        return np.abs(s, out=s).max(axis=1)
 
     @cached_property
     def n_plus(self):
         grid = self.grid
         w_g = grid.nodes * self.mode.g
         ip = 4.0 * np.pi
-        return 0.5 * (ip * self.pert_w @ (w_g * grid.weights)
+        # one matrix-vector product on the scaled copy: splitting it into
+        # rows or blocks changes the rounding
+        return 0.5 * (self._perturbation_op(np.multiply, ip) @ (w_g * grid.weights)
                       + ip * (self.V @ (w_g * grid.weights)) / self.mode.k)
 
     @cached_property
     def sup_norms(self):
-        return np.abs(self.pert_w / self.grid.nodes).max(axis=1)
+        return self.sup_deviation()
 
 
 def _time_grid(grid: RadialGrid, t_final: float, config: EvolveConfig):
@@ -284,17 +293,17 @@ def _outcome(run: _Run, config: EvolveConfig):
     r = run.grid.nodes
     init_sup = run.sup_norms[0]
     if init_sup > 0.0:
-        core = r <= 1.0
-        core_dev = np.abs(run.pert_w[:, core] / r[core]).max(axis=1)
-        settled = core_dev < 0.1 * init_sup
+        # the nodes ascend: r <= 1 is a prefix of them
+        core = int(np.searchsorted(r, 1.0, side="right"))
+        settled = run.sup_deviation(core) < 0.1 * init_sup
         need = max(1, int(round(5.0 / (run.stride * run.dt))))
         streak = 0
         for j, s in enumerate(settled):
             streak = streak + 1 if s else 0
             if streak >= need and abs(n_plus[j]) < config.exit_n_plus:
                 return "dispersal", math.nan, run.times[j]
-    psi = run.psi
-    if np.abs(psi - psi[0]).max() <= 0.01:
+    psi0 = (run.W[0] + run.bg) / r
+    if all(np.abs((w + run.bg) / r - psi0).max() <= 0.01 for w in run.W):
         return "stationary", math.nan, math.nan
     return "undecided", math.nan, math.nan
 
@@ -343,23 +352,34 @@ def evolve_nlw(initial: RadialState, t_final: float,
     |psi - phi|, energy, the local energy inside r <= 5, and the
     unstable-mode amplitude n_plus at every output stride, then classifies
     the outcome (stationary / dispersal / blowup / undecided; see _outcome).
+
+    A run keeps one record of u and one of u_t, a row per snapshot: the
+    snapshots are row views of that record (full frame).  The observables
+    are computed before it is converted in place, with at most one scratch
+    array of its size.
     """
     run = _step(initial, t_final, config)
     grid = initial.grid
     r = grid.nodes
     ip = 4.0 * np.pi
     loc = (r <= 5.0).astype(float)
+    pert = run.W if run.bg is run.w_bg else (w - run.w_bg for w in run.W)
     local_energy = np.array([
         ip * integrate(grid, 0.5 * loc * (vv ** 2 + ww ** 2))
-        for ww, vv in zip(run.pert_w, run.V)])
+        for ww, vv in zip(pert, run.V)])
     energy = np.array([discrete_energy(grid, ww + run.bg, vv)
                        for ww, vv in zip(run.W, run.V)])
     outcome, blowup_time, exit_time = _outcome(run, config)
-    snaps = [RadialState(grid, run.psi[j], run.V[j] / r, "full")
-             for j in range(len(run.W))]
+    sup_norms, n_plus = run.sup_norms, run.n_plus
+    # nothing reads W or V as the stepped field after this: they become
+    # psi = (w + bg)/r and psi_t = v/r in place
+    psi = np.add(run.W, run.bg, out=run.W)
+    np.divide(psi, r, out=psi)
+    psi_t = np.divide(run.V, r, out=run.V)
+    snaps = [RadialState(grid, u, ut, "full") for u, ut in zip(psi, psi_t)]
     return Trajectory(times=run.times, snapshots=snaps,
-                      sup_norms=run.sup_norms, local_energy=local_energy,
-                      n_plus_series=run.n_plus, energy_series=energy,
+                      sup_norms=sup_norms, local_energy=local_energy,
+                      n_plus_series=n_plus, energy_series=energy,
                       outcome=outcome, blowup_time=blowup_time,
                       exit_time=exit_time, dt=run.dt, background=run.w_bg)
 

@@ -20,15 +20,13 @@ from solitonlab.errors import SingularSolveError
 from solitonlab.linearized import (SigmaStarConfig, assemble_linearized_pair,
                                    instability_criterion, mu0, sigma_star,
                                    weinstein_h, weinstein_h_from_scaling)
-from solitonlab.radial import (assemble_channel_operator, integrate,
-                               make_grid)
+from solitonlab.radial import assemble_channel_operator, make_grid
 from solitonlab.resolvent import (classify_zero_mode, halfline_free_kernel,
                                   jensen_nenciu_invert, laurent_fit,
                                   singular_family)
 from solitonlab.solitons import (aubin_dphi_da, aubin_dphi_dr, aubin_values,
                                  nls_ground_state)
-from solitonlab.spectral import (birman_schwinger_count,
-                                 count_eigenvalues_below, eigenvalue_by_index,
+from solitonlab.spectral import (birman_schwinger_count, eigenvalue_by_index,
                                  negative_eigenpairs, zero_energy_diagnosis)
 
 from oracles import mode_decompose

@@ -1,10 +1,10 @@
 import ast
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from solitonlab.cli import main
@@ -127,6 +127,15 @@ def test_evolve_outputs(tmp_path):
     rows = (out / "observables.csv").read_text().splitlines()
     assert rows[0] == "t,sup_norm,local_energy,n_plus,energy"
     assert any(p.name.startswith("snapshot_t2") for p in out.iterdir())
+
+
+def test_manifest_records_wall_time_and_peak_rss(tmp_path):
+    rc, out = run_cli(["evolve", "--amplitude", "0.005", "--t-final", "5",
+                       "--n", "1500", "--r-max", "30"], tmp_path, "evcost")
+    assert rc == 0
+    man = json.loads((out / "manifest.json").read_text())
+    for key in ("wall_s", "peak_rss_mb"):
+        assert 0.0 < man[key] < math.inf
 
 
 def test_evolve_writes_no_snapshot_past_blowup(tmp_path, capsys):

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from solitonlab import dynamics
 from solitonlab.dynamics import (EvolveConfig, RadialState, _classify,
-                                 _WaveFlow, discrete_energy, project_to_sigma0,
+                                 _WaveFlow, project_to_sigma0,
                                  evolve_nlw, evolve_unstable_mode, fit_decay,
                                  find_stable_h, linear_propagate, sine_split,
                                  stability_initial_condition,
@@ -120,6 +122,26 @@ def test_frame_equivalence(dyn_grid):
     for sf, sp in zip(t_full.snapshots, t_pert.snapshots):
         assert np.abs(sf.u - sp.u).max() < 1e-8
         assert np.abs(sf.ut - sp.ut).max() < 1e-7
+
+
+@pytest.mark.parametrize("frame", ["perturbation", "full"])
+def test_evolve_nlw_memory_peak(dyn_grid, mode40, frame):
+    # a run keeps one record of u and one of u_t, and its observables use at
+    # most one scratch array of that size: 3 snapshot matrices plus O(n)
+    r = dyn_grid.nodes
+    u0, ut0 = project_to_sigma0(1e-4 * np.exp(-(r - 2.0) ** 2),
+                                5e-5 * np.exp(-r ** 2), dyn_grid, mode40)
+    if frame == "full":
+        u0 = static_background(dyn_grid) / r + u0
+    st = RadialState(dyn_grid, u0, ut0, frame)
+    tracemalloc.start()
+    try:
+        traj = evolve_nlw(st, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.outcome == "dispersal"
+    assert peak <= 3.5 * len(traj.times) * dyn_grid.n * 8
 
 
 def test_outside_light_cone_exactness(dyn_grid):

@@ -9,7 +9,7 @@ from solitonlab.linearized import (SigmaStarConfig, assemble_linearized_pair,
                                    gap_scan, gap_side_at,
                                    instability_criterion, mu0, sigma_star,
                                    weinstein_h, weinstein_h_from_scaling)
-from solitonlab.radial import apply_operator, integrate, make_grid
+from solitonlab.radial import apply_operator, make_grid
 from solitonlab.solitons import d_alpha_ground_state, nls_ground_state
 from solitonlab.spectral import (count_eigenvalues_below as count_below,
                                  eigenvalue_by_index, negative_eigenpairs)

@@ -4,7 +4,7 @@ import pytest
 from solitonlab.radial import (apply_operator, assemble_channel_operator,
                                bracketed_root, integrate, make_grid,
                                solve_shifted)
-from solitonlab.solitons import aubin_dphi_da, aubin_values
+from solitonlab.solitons import aubin_values
 from solitonlab.spectral import count_eigenvalues_below, eigenvalue_by_index
 
 from oracles import dense_matrix, quad_oracle

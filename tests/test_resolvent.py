@@ -4,10 +4,9 @@ import pytest
 from solitonlab.errors import NotAZeroModeError, SingularSolveError
 from solitonlab.radial import (assemble_channel_operator, make_grid,
                                solve_shifted)
-from solitonlab.resolvent import (LaurentCoefficients, classify_zero_mode,
-                                  free_resolvent_kernel, halfline_free_kernel,
-                                  jensen_nenciu_invert, laurent_fit,
-                                  singular_family)
+from solitonlab.resolvent import (classify_zero_mode, free_resolvent_kernel,
+                                  halfline_free_kernel, jensen_nenciu_invert,
+                                  laurent_fit, singular_family)
 from solitonlab.solitons import aubin_dphi_da, aubin_dphi_dr, aubin_values
 
 from oracles import (ZeroEnergyObstruction, dense_matrix, symmetric_resolvent,

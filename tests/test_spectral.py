@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from solitonlab.errors import NotAZeroModeError, NumericsError
+from solitonlab.errors import NumericsError
 from solitonlab.radial import assemble_channel_operator, integrate, make_grid
 from solitonlab.solitons import aubin_dphi_da, aubin_dphi_dr, aubin_values
 from solitonlab.spectral import (birman_schwinger_count,

@@ -2,10 +2,11 @@
 integration, the leapfrog stepper and tridiagonal solves.
 
 Each kernel has one implementation.  The sequential recurrences are plain
-Python loops over float64 scalars, the time stepper is vectorized numpy
-working in preallocated buffers, and tridiagonal solves go to LAPACK
-``gtsv`` through scipy.  The benchmark ``perfbench/run.py`` times each of
-them with ``--trace 1``.
+Python loops over float64 scalars, the time stepper is one three-level
+update with dt^2 folded into its coefficients, in vectorized numpy working
+in preallocated buffers, and tridiagonal solves go to LAPACK ``gtsv``
+through scipy.  The benchmark ``perfbench/run.py`` times each of them with
+``--trace 1``.
 """
 
 import numpy as np
@@ -159,9 +160,8 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
 
     Steps the deviation w from the background w_bg, whose quintic term is
     cancelled analytically so that w == 0 is an exact fixed point; a zero
-    w_bg steps the full field (w_tt = w_rr + w^5/r^4) bit for bit, as
-    adding 0.0 is exact.  Last node frozen (Dirichlet truncation), phantom
-    w(0)=0.
+    w_bg steps the full field (w_tt = w_rr + w^5/r^4).  Last node frozen
+    (Dirichlet truncation), phantom w(0)=0.
 
     The run takes n_steps >= 1 steps, the first of them the Taylor start
     from (w0, v0).  Snapshot slot j gets the state at step j*stride, with
@@ -175,19 +175,33 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     whose |n_plus| = |<w, p> + <v, p>/k|/2 of the stepped w exceeds
     exit_n_plus; last_step is then that snapshot's step.
 
-    Each step makes its 15 numpy calls into the run's preallocated
-    buffers.  The amplitude test reads the square tot^2 of the field that
-    the quintic term needs anyway: max tot^2 <= (cap r_1)^2 (1 - 1e-12),
-    with r_1 the smallest radius, bounds |psi| = |tot|/r by the cap at every
-    node with a margin for the rounding of both products, and an inf or nan
-    fails it.  Only when it fails is the exact test run: max |psi| <= cap,
-    then the reason (cap or non-finite) if that fails too.
+    A step is the three-level update with dt^2 folded into its
+    coefficients, c2 = dt^2 / h^2 and the array dt^2 / r^4 made once per
+    run:
+        w+ = (2 - 2 c2) w - w- + c2 (w_right + w_left)
+             + (dt^2 / r^4) ((w + bg)^5 - bg^5),
+    13 numpy calls into the run's preallocated buffers.  A background that
+    is zero everywhere (bg.any() is False, found once per run) skips the
+    two calls that add and cancel it, leaving 11.  Where w, w- and both
+    neighbours are 0 (the perturbation has not arrived) the quintic term
+    is exactly 0 and the node steps to exactly 0.
+
+    The amplitude test reads the square tot^2 of the field that the
+    quintic term needs anyway: max tot^2 <= (cap r_1)^2 (1 - 1e-12), with
+    r_1 the smallest radius, bounds |psi| = |tot|/r by the cap at every
+    node with a margin for the rounding of both products, and an inf or
+    nan fails it.  Only when it fails is the exact test run: max |psi| <=
+    cap, then the reason (cap or non-finite) if that fails too.
     """
     n = w0.shape[0]
     dt2 = dt * dt
-    bg, ir, ir4 = w_bg[:-1], inv_r[:-1], inv_r4[:-1]
+    c2 = dt2 * inv_h2
+    diag = 2.0 - 2.0 * c2
+    bg, ir = w_bg[:-1], inv_r[:-1]
+    has_bg = bool(bg.any())
     g2 = bg * bg
     bg5 = g2 * g2 * bg
+    force = inv_r4[:-1] * dt2
     # a sup that is inf or nan must fail the fast test even under an infinite cap
     fast_cap = min(psi_cap, np.finfo(float).max)
     edge = float(fast_cap) / float(ir.max())
@@ -195,8 +209,9 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     # would not be a normal float and could pass an underflowed tot^2
     bound = (min(edge * edge, np.finfo(float).max) * (1.0 - 1e-12)
              if edge >= 1e-150 else -1.0)
-    tot, two_y, lap, nl, psi = (np.empty(n - 1) for _ in range(5))
-    lap_t = lap[1:]
+    tot, nbr, nl, psi = (np.empty(n - 1) for _ in range(4))
+    nbr_t = nbr[1:]
+    sup = np.maximum.reduce
 
     def decided(w, v):
         if exit_weights is None:
@@ -207,9 +222,9 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     if decided(w0, v0):
         return 1, 0, 3
 
-    # three rotating buffers, each with its [:-1], [1:] and [:-2] views; the
+    # three rotating buffers, each with its [:-1], [2:] and [:-2] views; the
     # frozen last node is written into all of them once
-    a, b, c = ((y, y[:-1], y[1:], y[:-2])
+    a, b, c = ((y, y[:-1], y[2:], y[:-2])
                for y in (np.empty(n), w0.copy(), np.empty(n)))
     a[0][-1] = c[0][-1] = w0[-1]
 
@@ -218,14 +233,14 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     pend = -1
     step = 0
     while True:
-        bf, bh, bt, bi = b
-        u = np.add(bh, bg, tot)
+        bf, bh, br, bl = b
+        u = np.add(bh, bg, tot) if has_bg else bh
         np.multiply(u, u, nl)
         if step:
-            if not nl.max() <= bound:
+            if not sup(nl) <= bound:
                 np.multiply(u, ir, psi)
                 np.abs(psi, psi)
-                if not psi.max() <= fast_cap:
+                if not sup(psi) <= fast_cap:
                     if not np.all(np.isfinite(bh)):
                         return snap, step, 2
                     if np.any(psi > psi_cap):
@@ -241,22 +256,21 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
 
         np.multiply(nl, nl, nl)
         np.multiply(nl, u, nl)
-        np.subtract(nl, bg5, nl)
-        np.multiply(nl, ir4, nl)
-        np.multiply(bh, 2.0, two_y)
-        np.subtract(bt, two_y, lap)
-        np.add(lap_t, bi, lap_t)
-        lap[0] += 0.0  # the phantom w(0) = 0, added as every other neighbour
-        np.multiply(lap, inv_h2, lap)
-        np.add(lap, nl, lap)
+        if has_bg:
+            np.subtract(nl, bg5, nl)
+        np.multiply(nl, force, nl)
+        np.add(br, bl, nbr_t)
+        nbr[0] = bf[1] + 0.0  # the phantom w(0) = 0, added as every other neighbour
+        np.multiply(nbr, c2, nbr)
 
         ch = c[1]
         if step:
-            np.subtract(two_y, a[1], ch)
-            np.multiply(lap, dt2, lap)
-            np.add(ch, lap, ch)
+            np.multiply(bh, diag, ch)
+            np.subtract(ch, a[1], ch)
+            np.add(ch, nbr, ch)
+            np.add(ch, nl, ch)
         else:
-            ch[:] = bh + dt * v0[:-1] + 0.5 * dt2 * lap
+            ch[:] = bh + dt * v0[:-1] + 0.5 * (nbr - 2.0 * c2 * bh + nl)
 
         if pend >= 0:
             v = v_snap[pend]

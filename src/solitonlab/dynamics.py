@@ -635,7 +635,11 @@ class _WaveFlow:
         out = self._d2 * y
         out[:, :-1] += self._e2 * y[:, 1:]
         out[:, 1:] += self._e2 * y[:, :-1]
-        out += ((y @ self.g.T) * self._c2) @ self.g
+        # the deflation term, one broadcast product per negative eigenpair
+        # (none for the free operator)
+        coef = (y @ self.g.T) * self._c2
+        for j, g in enumerate(self.g):
+            out += coef[:, j, None] * g
         return out
 
     def _coefficients(self, dt):

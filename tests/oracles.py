@@ -91,26 +91,34 @@ def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
                              w_snap, v_snap):
     """Allocating numpy leapfrog with the arguments and return of
     solitonlab._kernels.leapfrog (without the early exit): one temporary
-    per operation.  The buffered stepper must match it bit for bit."""
+    per operation, in the kernel's folded update
+    w+ = (2 - 2 c2) w - w- + c2 (w_right + w_left) + (dt^2 / r^4) N(w),
+    c2 = dt^2 / h^2.  The buffered stepper must match it bit for bit.
+    Mode 0 is the full-field equation, N(w) = w^5, which never reads w_bg;
+    mode 1 steps the deviation, N(w) = (w + w_bg)^5 - w_bg^5."""
     n = w0.shape[0]
     dt2 = dt * dt
+    c2 = dt2 * inv_h2
+    force = inv_r4[:-1] * dt2
     ext = np.empty(n + 1)
 
-    def force_of(y):
+    def terms(y):
+        """c2 (w_right + w_left) and (dt^2 / r^4) N(w) at y."""
         ext[0] = 0.0
         ext[1:] = y
-        lap = (ext[2:] - 2.0 * ext[1:-1] + ext[:-2]) * inv_h2
+        nbr = (ext[2:] + ext[:-2]) * c2
         if mode == 0:
             w2 = y[:-1] * y[:-1]
-            return lap + w2 * w2 * y[:-1] * inv_r4[:-1]
+            return nbr, w2 * w2 * y[:-1] * force
         tot = w_bg[:-1] + y[:-1]
         t2 = tot * tot
         g2 = w_bg[:-1] * w_bg[:-1]
-        return lap + (t2 * t2 * tot - g2 * g2 * w_bg[:-1]) * inv_r4[:-1]
+        return nbr, (t2 * t2 * tot - g2 * g2 * w_bg[:-1]) * force
 
     a = w0.copy()
     b = np.empty(n)
-    b[:-1] = a[:-1] + dt * v0[:-1] + 0.5 * dt2 * force_of(a)
+    nbr, quintic = terms(a)
+    b[:-1] = a[:-1] + dt * v0[:-1] + 0.5 * (nbr - 2.0 * c2 * a[:-1] + quintic)
     b[-1] = a[-1]
     c = np.empty(n)
 
@@ -134,7 +142,8 @@ def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
         if step >= n_steps and pend < 0:
             return snap, n_steps, 0
 
-        c[:-1] = 2.0 * b[:-1] - a[:-1] + dt2 * force_of(b)
+        nbr, quintic = terms(b)
+        c[:-1] = (2.0 - 2.0 * c2) * b[:-1] - a[:-1] + nbr + quintic
         c[-1] = b[-1]
 
         if pend >= 0:

@@ -155,7 +155,7 @@ def rk4_shoot(b, alpha2, sigma, dim, h, n, phi_out):
 
 def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
              n_steps, stride, psi_cap,
-             w_snap, v_snap, exit_weights=None, k=1.0, exit_n_plus=np.inf):
+             w_snap, v_snap, n_plus, weights, k, shift, exit_n_plus=np.inf):
     """Leapfrog stepper of the reduced radial quintic wave equation.
 
     Steps the deviation w from the background w_bg, whose quintic term is
@@ -170,10 +170,12 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     (snapshots_written, last_step, reason): reason 0 completed, 1 amplitude
     cap, 2 non-finite, 3 decided.  w0 and v0 are not written.
 
-    With exit_weights (4 pi r g times the quadrature weights, with the rate
-    k) the run stops with reason 3 at the first snapshot, slot 0 included,
-    whose |n_plus| = |<w, p> + <v, p>/k|/2 of the stepped w exceeds
-    exit_n_plus; last_step is then that snapshot's step.
+    Every slot written, slot 0 included, also gets its unstable-mode
+    amplitude n_plus[j] = (<w, p> + <v, p>/k)/2 - shift, two dots per
+    snapshot, with p = weights (4 pi r g times the quadrature weights), k
+    the rate and shift the amplitude of a background that w carries (0 when
+    w is a deviation).  The run stops with reason 3 at the first slot with
+    |n_plus| > exit_n_plus; last_step is then that snapshot's step.
 
     A step is the three-level update with dt^2 folded into its
     coefficients, c2 = dt^2 / h^2 and the array dt^2 / r^4 made once per
@@ -213,13 +215,12 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     nbr_t = nbr[1:]
     sup = np.maximum.reduce
 
-    def decided(w, v):
-        if exit_weights is None:
-            return False
-        n_plus = 0.5 * (np.dot(w, exit_weights) + np.dot(v, exit_weights) / k)
-        return abs(n_plus) > exit_n_plus
+    def decided(j, w, v):
+        x = 0.5 * (np.dot(w, weights) + np.dot(v, weights) / k) - shift
+        n_plus[j] = x
+        return abs(x) > exit_n_plus
 
-    if decided(w0, v0):
+    if decided(0, w0, v0):
         return 1, 0, 3
 
     # three rotating buffers, each with its [:-1], [2:] and [:-2] views; the
@@ -276,7 +277,7 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
             v = v_snap[pend]
             np.subtract(c[0], a[0], v)
             np.divide(v, 2.0 * dt, v)
-            if decided(w_snap[pend], v):
+            if decided(pend, w_snap[pend], v):
                 return snap, step, 3
             pend = -1
         if step >= n_steps:

@@ -172,9 +172,10 @@ class _Run:
     """Snapshots of one leapfrog run and how it stopped (see _step).
 
     W and V hold the stepped field w - bg and its velocity at the snapshots
-    written; reason is the stepper's (0 horizon, 1 cap, 2 non-finite,
-    3 decided).  The derived series are computed on first use, each with
-    at most one scratch array of the size of W.
+    written, and n_plus the unstable-mode amplitude of the perturbation
+    u - phi that the stepper recorded at each of them; reason is the
+    stepper's (0 horizon, 1 cap, 2 non-finite, 3 decided).  The sup norms
+    are computed on first use with one scratch array of the size of W.
     """
 
     grid: RadialGrid
@@ -185,6 +186,7 @@ class _Run:
     stride: int
     W: np.ndarray
     V: np.ndarray
+    n_plus: np.ndarray
     stop_step: int
     reason: int
 
@@ -192,29 +194,15 @@ class _Run:
     def times(self):
         return np.arange(len(self.W)) * self.stride * self.dt
 
-    def _perturbation_op(self, ufunc, x, m=None):
-        """ufunc(w - w_bg, x) on the first m nodes of every snapshot, in one
-        new array."""
-        W = self.W[:, :m]
-        if self.bg is self.w_bg:
-            return ufunc(W, x)
-        s = np.subtract(W, self.w_bg[:m])
-        return ufunc(s, x, out=s)
-
     def sup_deviation(self, m=None):
         """max |psi - phi| over the first m nodes at every snapshot."""
-        s = self._perturbation_op(np.divide, self.grid.nodes[:m], m)
+        W, r = self.W[:, :m], self.grid.nodes[:m]
+        if self.bg is self.w_bg:
+            s = np.divide(W, r)
+        else:
+            s = np.subtract(W, self.w_bg[:m])
+            np.divide(s, r, out=s)
         return np.abs(s, out=s).max(axis=1)
-
-    @cached_property
-    def n_plus(self):
-        grid = self.grid
-        w_g = grid.nodes * self.mode.g
-        ip = 4.0 * np.pi
-        # one matrix-vector product on the scaled copy: splitting it into
-        # rows or blocks changes the rounding
-        return 0.5 * (self._perturbation_op(np.multiply, ip) @ (w_g * grid.weights)
-                      + ip * (self.V @ (w_g * grid.weights)) / self.mode.k)
 
     @cached_property
     def sup_norms(self):
@@ -237,9 +225,10 @@ def _step(initial: RadialState, t_final: float, config: EvolveConfig,
 
     Background a = 1, amplitude cap 1e3 phi(0, 1); ValueError for non-finite
     data.  One stepper: perturbation data step about bg = w_bg, full-field
-    data about bg = 0.  With early_exit the stepper stops at the first
-    snapshot whose |n_plus| exceeds config.exit_n_plus, where the outcome is
-    fixed.
+    data about bg = 0.  The stepper records n_plus of u - phi in either
+    frame, the full frame by subtracting the background's amplitude.  With
+    early_exit it stops at the first snapshot whose |n_plus| exceeds
+    config.exit_n_plus, where the outcome is fixed.
     """
     if not (np.isfinite(initial.u).all() and np.isfinite(initial.ut).all()):
         raise ValueError("initial data must be finite")
@@ -262,17 +251,17 @@ def _step(initial: RadialState, t_final: float, config: EvolveConfig,
     v_snap = np.zeros((n_snap, n))
     w_snap[0] = w0
     v_snap[0] = v0
+    n_plus = np.zeros(n_snap)
     inv_r4 = 1.0 / r ** 4
-    exit_args = ()
-    if early_exit:
-        exit_args = (4.0 * np.pi * (r * mode.g) * grid.weights, mode.k,
-                     config.exit_n_plus)
+    p = 4.0 * np.pi * (r * mode.g) * grid.weights
+    shift = 0.0 if bg is w_bg else 0.5 * np.dot(w_bg, p)
 
     n_got, stop_step, reason = leapfrog(
         w0, v0, 1.0 / r, inv_r4, bg, 1.0 / h ** 2, dt,
-        n_steps, stride, psi_cap, w_snap, v_snap, *exit_args)
+        n_steps, stride, psi_cap, w_snap, v_snap, n_plus, p, mode.k, shift,
+        config.exit_n_plus if early_exit else np.inf)
     return _Run(grid, w_bg, mode, bg, dt, stride, w_snap[:n_got],
-                v_snap[:n_got], stop_step, reason)
+                v_snap[:n_got], n_plus[:n_got], stop_step, reason)
 
 
 def _outcome(run: _Run, config: EvolveConfig):
@@ -312,8 +301,6 @@ def _exit_index(run: _Run, config: EvolveConfig) -> int:
     """Index of the first snapshot with |n_plus| > config.exit_n_plus, or
     len(run.W) when there is none."""
     exited = np.abs(run.n_plus) > config.exit_n_plus
-    # the stepper's own sum decided a reason-3 stop at the last snapshot
-    exited[-1] |= run.reason == 3
     return int(np.argmax(exited)) if exited.any() else len(exited)
 
 
@@ -328,8 +315,9 @@ def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
     <= _LINEAR_N_PLUS; None when no snapshot qualifies.  Snapshot 0 carries
     no information (on find_stable_h's data n_plus(0) = h/2 whatever h* is),
     and nothing after the decision is read, so an early-exit run and a full
-    run give the same offset.  The early exit reads n_plus of the stepped
-    field, the perturbation of find_stable_h's data.
+    run give the same offset.  The early exit and the offset read one
+    record, the stepper's n_plus of u - phi, so data in either frame stop
+    where evolve_nlw's run decides.
     """
     run = _step(initial, t_final, config, early_exit=True)
     outcome = _outcome(run, config)[0]
@@ -350,8 +338,9 @@ def evolve_nlw(initial: RadialState, t_final: float,
     advance the deviation from the static background with exact background
     cancellation.  The step is the CFL step 0.9 h.  Records sup
     |psi - phi|, energy, the local energy inside r <= 5, and the
-    unstable-mode amplitude n_plus at every output stride, then classifies
-    the outcome (stationary / dispersal / blowup / undecided; see _outcome).
+    unstable-mode amplitude n_plus of psi - phi (the stepper's own record)
+    at every output stride, then classifies the outcome (stationary /
+    dispersal / blowup / undecided; see _outcome).
 
     A run keeps one record of u and one of u_t, a row per snapshot: the
     snapshots are row views of that record (full frame).  The observables
@@ -407,10 +396,11 @@ def stability_initial_condition(times: np.ndarray, F_plus: np.ndarray,
                                 k: float) -> float:
     """The unique n_plus(0) = -int_0^inf e^{-ks} F_plus(s) ds that removes growth.
 
-    Quadrature is exact for piecewise-linear forcing (matching
-    evolve_unstable_mode step for step, so the cancellation of the e^{kt}
-    branch survives to rounding).  Warns when k T < 20; the neglected tail
-    is bounded by |F(T)| e^{-kT} / k.
+    Quadrature is exact for piecewise-linear forcing: the sum
+    -sum_i e^{-k t_{i+1}} (a F_i + b F_{i+1}) with evolve_unstable_mode's
+    weights a, b, so the cancellation of the e^{kt} branch survives to
+    rounding.  Warns when k T < 20; the neglected tail is bounded by
+    |F(T)| e^{-kT} / k.
     """
     times, F_plus = _mode_series(times, F_plus, k)
     T = times[-1]
@@ -421,10 +411,8 @@ def stability_initial_condition(times: np.ndarray, F_plus: np.ndarray,
             stacklevel=2)
     total = 0.0
     for i in range(times.size - 1):
-        dt = times[i + 1] - times[i]
-        c1 = (1.0 - math.exp(-k * dt)) / k
-        c2 = (1.0 - math.exp(-k * dt) * (1.0 + k * dt)) / (k * k * dt)
-        total += math.exp(-k * times[i]) * (F_plus[i] * (c1 - c2) + F_plus[i + 1] * c2)
+        _, a, b = _voc_weights(k, times[i + 1] - times[i])
+        total += math.exp(-k * times[i + 1]) * (a * F_plus[i] + b * F_plus[i + 1])
     return -total
 
 
@@ -504,7 +492,9 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     them: every candidate replaces the end with its outcome.  Each
     classification run stops at its decision (|n_plus| past
     EvolveConfig().exit_n_plus, or the amplitude cap) and measures its distance
-    from the manifold, n_plus(t) ~ e^{kt} (h - h*)/2 (see _classify).
+    from the manifold, n_plus(t) ~ e^{kt} (h - h*)/2 (see _classify), both
+    from the n_plus that the stepper records, which is evolve_nlw's
+    n_plus_series too.
     radial.bracketed_root picks the candidates from these offsets; they
     gain digits until the outcome is set by rounding noise in the e^{kt}
     amplification, and midpoints finish from there.

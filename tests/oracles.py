@@ -88,10 +88,12 @@ def rk2_shoot_ground_state(sigma, alpha, d, r_max, n):
 
 def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
                              n_steps, stride, mode, psi_cap,
-                             w_snap, v_snap):
+                             w_snap, v_snap, n_plus, weights, k, shift):
     """Allocating numpy leapfrog with the arguments and return of
-    solitonlab._kernels.leapfrog (without the early exit): one temporary
-    per operation, in the kernel's folded update
+    solitonlab._kernels.leapfrog, which it runs to the horizon (it has no
+    exit on n_plus, but records n_plus[j] = (<w, p> + <v, p>/k)/2 - shift of
+    every slot written, p = weights): one temporary per operation, in the
+    kernel's folded update
     w+ = (2 - 2 c2) w - w- + c2 (w_right + w_left) + (dt^2 / r^4) N(w),
     c2 = dt^2 / h^2.  The buffered stepper must match it bit for bit.
     Mode 0 is the full-field equation, N(w) = w^5, which never reads w_bg;
@@ -115,6 +117,10 @@ def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
         g2 = w_bg[:-1] * w_bg[:-1]
         return nbr, (t2 * t2 * tot - g2 * g2 * w_bg[:-1]) * force
 
+    def record(j, w, v):
+        n_plus[j] = 0.5 * (np.dot(w, weights) + np.dot(v, weights) / k) - shift
+
+    record(0, w0, v0)
     a = w0.copy()
     b = np.empty(n)
     nbr, quintic = terms(a)
@@ -148,6 +154,7 @@ def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
 
         if pend >= 0:
             v_snap[pend] = (c - a) / (2.0 * dt)
+            record(pend, w_snap[pend], v_snap[pend])
             pend = -1
         if step >= n_steps:
             return snap, n_steps, 0

@@ -609,3 +609,17 @@ def test_early_stopped_outcome_matches_evolve_nlw(dyn_grid, mode40):
         assert out == evolve_nlw(st, 25.0).outcome
         outcomes.add(out)
     assert outcomes == {"blowup", "dispersal"}
+
+
+def test_classify_full_frame_matches_perturbation_frame(dyn_grid, mode40):
+    # the early exit reads n_plus of psi - phi in either frame, not the full
+    # field's (the background's amplitude alone is past the exit level)
+    r = dyn_grid.nodes
+    f1, f2 = project_to_sigma0(0.02 * np.exp(-r ** 2), np.zeros(dyn_grid.n),
+                               dyn_grid, mode40)
+    state = RadialState(dyn_grid, f1 - 3e-6 * mode40.g, f2, "perturbation")
+    full = state.to_full(static_background(dyn_grid))
+    out, offset = _classify(full, 35.0, EvolveConfig())
+    out_p, offset_p = _classify(state, 35.0, EvolveConfig())
+    assert out == evolve_nlw(full, 35.0).outcome == out_p
+    assert offset == pytest.approx(offset_p, rel=1e-7)

@@ -114,7 +114,8 @@ def test_rk4_shoot_parity():
 
 def _leapfrog_case(mode, n=400, n_steps=200, stride=20):
     # mode 0 steps the full field (about a zero background), mode 1 the
-    # deviation from the profile w_bg
+    # deviation from the profile w_bg; the last entry is the n_plus record's
+    # (weights, k, shift), the shift taking w_bg's amplitude off in mode 0
     g = make_grid(20.0, n)
     r = g.nodes
     w_bg = r * 3 ** 0.25 / np.sqrt(1 + r * r)
@@ -123,19 +124,23 @@ def _leapfrog_case(mode, n=400, n_steps=200, stride=20):
     bg = w_bg if mode == 1 else np.zeros(n)
     args = (1.0 / r, 1.0 / r ** 4, bg, 1.0 / g.h ** 2, 0.9 * g.h,
             n_steps, stride)
-    exit_weights = 4 * np.pi * r * np.exp(-r) * g.weights
-    return g, w0, v0, w_bg, args, exit_weights
+    p = 4 * np.pi * r * np.exp(-r) * g.weights
+    shift = 0.5 * np.dot(w_bg, p) if mode == 0 else 0.0
+    return g, w0, v0, w_bg, args, (p, 1.7, shift)
 
 
-def _run_leapfrog(fn, case, psi_cap=1e3, exit_args=()):
-    g, w0, v0, _, args, _ = case
+def _run_leapfrog(fn, case, psi_cap=1e3, exit_n_plus=None):
+    g, w0, v0, _, args, n_plus_args = case
     n_snap = args[5] // args[6] + 1
     w_snap = np.zeros((n_snap, g.n))
     v_snap = np.zeros((n_snap, g.n))
+    n_plus = np.zeros(n_snap)
     w_snap[0] = w0
     v_snap[0] = v0
-    res = fn(w0.copy(), v0.copy(), *args, psi_cap, w_snap, v_snap, *exit_args)
-    return res, w_snap, v_snap
+    exit_args = () if exit_n_plus is None else (exit_n_plus,)
+    res = fn(w0.copy(), v0.copy(), *args, psi_cap, w_snap, v_snap, n_plus,
+             *n_plus_args, *exit_args)
+    return res, w_snap, v_snap, n_plus
 
 
 def _reference(mode):
@@ -151,25 +156,27 @@ def test_leapfrog_parity_early_exit(mode):
     # the exit level sits halfway between a mid-run record of |n_plus| and
     # the largest value before it, so the run must stop at that snapshot
     case = _leapfrog_case(mode, n_steps=50, stride=4)
-    _, _, _, _, args, p = case
-    k = 1.7
-    full, w_full, v_full = _run_leapfrog(K.leapfrog, case)
+    _, _, _, _, args, (p, k, shift) = case
+    full, w_full, v_full, n_full = _run_leapfrog(K.leapfrog, case)
     assert full[2] == 0
-    # the exit reads n_plus of the stepped field
-    n_plus = np.abs(0.5 * (w_full @ p + (v_full @ p) / k))
+    # the record and the exit read n_plus of the stepped field, less shift
+    assert np.array_equal(n_full, [0.5 * (np.dot(w, p) + np.dot(v, p) / k)
+                                   - shift for w, v in zip(w_full, v_full)])
+    n_plus = np.abs(n_full)
     records = [i for i in range(1, len(n_plus)) if n_plus[i] > n_plus[:i].max()]
     j = records[len(records) // 2]
     assert 1 <= j < len(n_plus) - 1
     level = 0.5 * (n_plus[j] + n_plus[:j].max())
-    res, w, v = _run_leapfrog(K.leapfrog, case, exit_args=(p, k, level))
+    res, w, v, n = _run_leapfrog(K.leapfrog, case, exit_n_plus=level)
     assert res == (j + 1, j * args[6], 3)
-    # the early-stopped run is the prefix of the full one
+    # the early-stopped run and its record are the prefix of the full one
     assert np.array_equal(w[:j + 1], w_full[:j + 1])
     assert np.array_equal(v[:j + 1], v_full[:j + 1])
+    assert np.array_equal(n[:j + 1], n_full[:j + 1])
     # an initial state already past the level stops before the first step
-    res, _, _ = _run_leapfrog(K.leapfrog, case,
-                              exit_args=(p, k, 0.5 * n_plus[0]))
+    res, _, _, n = _run_leapfrog(K.leapfrog, case, exit_n_plus=0.5 * n_plus[0])
     assert res == (1, 0, 3)
+    assert n[0] == n_full[0]
 
 
 @pytest.mark.parametrize("mode, amp, psi_cap", [
@@ -208,7 +215,7 @@ def test_leapfrog_cap_fallback_matches_reference(mode, cap):
     psi_cap = 1e3
     if cap != "fine_grid":
         every = _leapfrog_case(mode, n=n, n_steps=n_steps, stride=1)
-        _, w_all, _ = _run_leapfrog(_reference(mode), every, np.inf)
+        w_all = _run_leapfrog(_reference(mode), every, np.inf)[1]
         tot = w_all[1:, :-1] + (w_bg[:-1] if mode == 1 else 0.0)
         psi_max = float(np.abs(tot * inv_r[:-1]).max())
         psi_cap = psi_max * (1 + 1e-9) if cap == "above" else psi_max
@@ -234,7 +241,7 @@ def test_leapfrog_blowup_detection():
     w_snap[0] = w0
     snap, step, reason = K.leapfrog(
         w0.copy(), np.zeros(g.n), 1.0 / r, 1.0 / r ** 4, w_bg, 1.0 / h2, dt,
-        2000, 200, 10.0, w_snap, v_snap)
+        2000, 200, 10.0, w_snap, v_snap, np.zeros(11), g.weights, 1.0, 0.0)
     assert reason in (1, 2)
     assert step < 2000
 
@@ -266,7 +273,7 @@ def test_leapfrog_matches_textbook_update(mode, n_steps):
     # the oracle shares the kernel's folded coefficients c2, 2 - 2 c2 and
     # dt^2 / r^4; the unfolded scheme checks them
     case = _leapfrog_case(mode, n=1000, n_steps=n_steps, stride=n_steps)
-    res, w, _ = _run_leapfrog(K.leapfrog, case)
+    res, w = _run_leapfrog(K.leapfrog, case)[:2]
     assert res == (2, n_steps, 0)
     ref = _textbook_leapfrog(case, n_steps)
     assert np.abs(w[1] - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -275,12 +282,12 @@ def test_leapfrog_matches_textbook_update(mode, n_steps):
 def test_leapfrog_background_zero_but_one_node_is_a_background():
     # one nonzero interior node, where the bump sits, must not be taken
     # for the zero background of the full frame
-    g, w0, v0, w_bg, args, _ = _leapfrog_case(1, n=1000, n_steps=120,
-                                              stride=10)
+    g, w0, v0, w_bg, args, n_plus_args = _leapfrog_case(1, n=1000, n_steps=120,
+                                                        stride=10)
     bg = np.zeros(g.n)
     j = int(np.searchsorted(g.nodes, 3.0))
     bg[j] = w_bg[j]
-    case = (g, w0, v0, w_bg, args[:2] + (bg,) + args[3:], None)
+    case = (g, w0, v0, w_bg, args[:2] + (bg,) + args[3:], n_plus_args)
     new = _run_leapfrog(K.leapfrog, case)
     ref = _run_leapfrog(_reference(1), case)
     full = _run_leapfrog(_reference(0), case)
@@ -299,8 +306,8 @@ def test_leapfrog_allocates_no_array_per_step(mode):
     n = 1000
     peaks = []
     for n_steps in (100, 1000):
-        g, w0, v0, w_bg, args, _ = _leapfrog_case(mode, n=n, n_steps=n_steps,
-                                                  stride=n_steps)
+        g, w0, v0, w_bg, args, n_plus_args = _leapfrog_case(
+            mode, n=n, n_steps=n_steps, stride=n_steps)
         if mode == 0:
             w0 -= w_bg
         else:
@@ -308,7 +315,8 @@ def test_leapfrog_allocates_no_array_per_step(mode):
         w_snap, v_snap = np.zeros((2, n)), np.zeros((2, n))
         tracemalloc.start()
         try:
-            res = K.leapfrog(w0, v0, *args, 1e3, w_snap, v_snap)
+            res = K.leapfrog(w0, v0, *args, 1e3, w_snap, v_snap, np.zeros(2),
+                             *n_plus_args)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -2,10 +2,14 @@
 integration, the leapfrog stepper and tridiagonal solves.
 
 Each kernel has one implementation.  The sequential recurrences are plain
-Python loops over float64 scalars, the time stepper is one three-level
-update with dt^2 folded into its coefficients, in vectorized numpy working
-in preallocated buffers, and tridiagonal solves go to LAPACK ``gtsv``
-through scipy.  The benchmark ``perfbench/run.py`` times each of them with
+Python loops over float64 scalars that do only the arithmetic of a step:
+what depends on the node alone (the Sturm count's e^2, the RK4 friction
+terms (dim-1)/r of rk4_friction) is made once, by numpy, and the loops
+iterate over Python float lists.  Their plain indexed forms live in the
+tests as references that the kernels match bit for bit.  The time stepper
+is one three-level update with dt^2 folded into its coefficients, in
+vectorized numpy working in preallocated buffers, and tridiagonal solves go
+to LAPACK ``gtsv`` through scipy.  The benchmark ``perfbench/run.py`` times each of them with
 ``--trace 1``.
 """
 
@@ -23,23 +27,22 @@ def sturm_count(diag, off, x):
     Sturm/LDL^T sign count.  A pivot with |d| <= pivmin is replaced by
     -pivmin, pivmin = tiny * max(1, max e^2) (the rule of LAPACK dstebz,
     Kahan 1966), which keeps every quotient e^2/d finite and the count well
-    defined when x collides with a Ritz value.  The loop runs over Python
-    float copies, which index far faster than numpy arrays.
+    defined when x collides with a Ritz value.  The squares e^2 are formed
+    once, by numpy, and the loop runs over Python float copies of them and
+    of diag, which iterate far faster than numpy arrays.
     """
-    n = diag.shape[0]
-    pivmin = float(np.finfo(float).tiny
-                   * max(1.0, np.max(off * off, initial=0.0)))
-    diag, off, x = diag.tolist(), off.tolist(), float(x)
+    e2 = off * off
+    pivmin = float(np.finfo(float).tiny * max(1.0, np.max(e2, initial=0.0)))
+    rows, x = iter(diag.tolist()), float(x)
     count = 0
-    d = diag[0] - x
-    if abs(d) <= pivmin:
+    d = next(rows) - x
+    if -pivmin <= d <= pivmin:
         d = -pivmin
     if d < 0.0:
         count += 1
-    for i in range(1, n):
-        e = off[i - 1]
-        d = diag[i] - x - e * e / d
-        if abs(d) <= pivmin:
+    for a, q in zip(rows, e2.tolist()):
+        d = a - x - q / d
+        if -pivmin <= d <= pivmin:
             d = -pivmin
         if d < 0.0:
             count += 1
@@ -60,22 +63,22 @@ def shoot_solution(h2_diag, energy_h2):
     the leading (m-1) x (m-1) block (discrete oscillation theorem).
     """
     m = h2_diag.shape[0]
-    h2_diag, energy_h2 = h2_diag.tolist(), float(energy_h2)
-    out = [1.0] * m
+    energy_h2 = float(energy_h2)
+    out = [1.0]
+    append = out.append
     events = []
     w_prev = 0.0
     w = 1.0
-    for j in range(m - 1):
-        w_next = (h2_diag[j] - energy_h2) * w - w_prev
+    for a in h2_diag[:m - 1].tolist():
+        w_next = (a - energy_h2) * w - w_prev
         if w_next == 0.0:
             w_next = -1e-300 if w > 0.0 else 1e-300
-        aw = abs(w_next)
-        if aw > _RENORM:
-            inv = 1.0 / aw
-            events.append((j + 1, inv))
+        if w_next > _RENORM or w_next < -_RENORM:
+            inv = 1.0 / abs(w_next)
+            events.append((len(out), inv))
             w = w * inv
             w_next = w_next * inv
-        out[j + 1] = w_next
+        append(w_next)
         w_prev = w
         w = w_next
     out = np.array(out)
@@ -101,56 +104,68 @@ def tridiag_solve(diag, off, rhs):
         raise SingularSolveError("singular tridiagonal system") from exc
 
 
-def rk4_shoot(b, alpha2, sigma, dim, h, n, phi_out):
+def rk4_friction(dim, h, n):
+    """Friction table of rk4_shoot on the nodes h, 2h, ..., nh.
+
+    Three lists, one entry per step j = 1..n-1: (dim-1)/r at r = jh, at
+    r + h/2 and at r + h, each the one IEEE quotient of (dim-1) and a
+    radius formed as j*h, j*h + 0.5*h and j*h + h.
+    """
+    fric = dim - 1.0
+    r = np.arange(1, n) * h
+    return ((fric / r).tolist(), (fric / (r + 0.5 * h)).tolist(),
+            (fric / (r + h)).tolist())
+
+
+def rk4_shoot(b, alpha2, sigma, dim, h, fric, phi_out):
     """Outward RK4 integration of the radial ground-state equation.
 
     phi'' + ((dim-1)/r) phi' = alpha2 phi - |phi|^(2 sigma) phi, stepped off
     r = 0 with phi(0) = b, phi'(0) = 0 via the r^2 series through the first
-    node.  Writes phi at nodes h, 2h, ..., nh into phi_out and returns
+    node.  ``fric`` is rk4_friction(dim, h, n), which fixes the n nodes and
+    is made once per grid, so a step does only its own arithmetic: 4
+    powers, no division, and the stage constants 0.5 h and h/6 made once
+    per shot.  Writes phi at nodes h, 2h, ..., nh into phi_out and returns
     (status, index):
 
       status 0  reached the last node still positive and not turning
       status 1  overshoot, phi crossed zero at node ``index``
       status 2  undershoot, phi turned upward (phi' > 0 with phi < 0.9 b)
+
+    A power past the float64 range raises OverflowError.
     """
     two_sig = 2.0 * sigma
     f0 = alpha2 * b - abs(b) ** two_sig * b
     phi = b + 0.5 * h * h * f0 / dim
     dphi = h * f0 / dim
-    phi_out[0] = phi
+    half = 0.5 * h
+    sixth = h / 6.0
+    floor = 0.9 * b
+    out = [phi]
+    append = out.append
     status = 0
-    stop = n - 1
-    fric = dim - 1.0
-    for j in range(1, n):
-        r = j * h
-        k1p = dphi
-        k1q = alpha2 * phi - abs(phi) ** two_sig * phi - fric / r * dphi
-        p2 = phi + 0.5 * h * k1p
-        q2 = dphi + 0.5 * h * k1q
-        rm = r + 0.5 * h
-        k2p = q2
-        k2q = alpha2 * p2 - abs(p2) ** two_sig * p2 - fric / rm * q2
-        p3 = phi + 0.5 * h * k2p
-        q3 = dphi + 0.5 * h * k2q
-        k3p = q3
-        k3q = alpha2 * p3 - abs(p3) ** two_sig * p3 - fric / rm * q3
-        p4 = phi + h * k3p
+    for fr, fm, fe in zip(*fric):
+        k1q = alpha2 * phi - abs(phi) ** two_sig * phi - fr * dphi
+        p2 = phi + half * dphi
+        q2 = dphi + half * k1q
+        k2q = alpha2 * p2 - abs(p2) ** two_sig * p2 - fm * q2
+        p3 = phi + half * q2
+        q3 = dphi + half * k2q
+        k3q = alpha2 * p3 - abs(p3) ** two_sig * p3 - fm * q3
+        p4 = phi + h * q3
         q4 = dphi + h * k3q
-        re = r + h
-        k4p = q4
-        k4q = alpha2 * p4 - abs(p4) ** two_sig * p4 - fric / re * q4
-        phi = phi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        dphi = dphi + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        phi_out[j] = phi
+        k4q = alpha2 * p4 - abs(p4) ** two_sig * p4 - fe * q4
+        phi = phi + sixth * (dphi + 2.0 * q2 + 2.0 * q3 + q4)
+        dphi = dphi + sixth * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        append(phi)
         if phi <= 0.0:
             status = 1
-            stop = j
             break
-        if dphi > 0.0 and phi < 0.9 * b:
+        if dphi > 0.0 and phi < floor:
             status = 2
-            stop = j
             break
-    return status, stop
+    phi_out[:len(out)] = out
+    return status, len(out) - 1
 
 
 def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import rk4_shoot
+from ._kernels import rk4_friction, rk4_shoot
 from .errors import ConvergenceError
 from .radial import RadialGrid, bracketed_root
 
@@ -70,19 +70,19 @@ class NlsGroundState:
     decay_rate: float = 0.0
 
 
-def _shoot_once(b, alpha, sigma, d, h, n):
-    phi = np.empty(n)
-    status, stop = rk4_shoot(b, alpha * alpha, sigma, float(d), h, n, phi)
+def _shoot_once(b, alpha, sigma, d, h, fric):
+    phi = np.empty(len(fric[0]) + 1)
+    status, stop = rk4_shoot(b, alpha * alpha, sigma, float(d), h, fric, phi)
     return phi, status, stop
 
 
-def _find_bracket(alpha, sigma, d, h, n):
+def _find_bracket(alpha, sigma, d, h, fric):
     """Scan upward from just above the rest value for an under/over pair."""
     base = alpha ** (1.0 / sigma)
     lo = None
     b = 1.05 * base
     for _ in range(200):
-        _, status, _ = _shoot_once(b, alpha, sigma, d, h, n)
+        _, status, _ = _shoot_once(b, alpha, sigma, d, h, fric)
         if status == _OVERSHOOT:
             if lo is not None:
                 return lo, b
@@ -90,7 +90,7 @@ def _find_bracket(alpha, sigma, d, h, n):
             hi = b
             b_down = b / 1.02
             for _ in range(400):
-                _, status, _ = _shoot_once(b_down, alpha, sigma, d, h, n)
+                _, status, _ = _shoot_once(b_down, alpha, sigma, d, h, fric)
                 if status != _OVERSHOOT:
                     return b_down, hi
                 hi = b_down
@@ -133,6 +133,10 @@ def nls_ground_state(sigma: float, alpha: float, d: int,
     (phi' turning positive) too small; radial.bracketed_root halves the
     bracket to width 1e-12 or float64 resolution, and the midpoint profile,
     its breakdown tail replaced by the exponential asymptote, is returned.
+    Every shot reads one friction table, _kernels.rk4_friction of the grid,
+    made once per call.  A shot or tail past the float64 range (a large
+    alpha on a coarse grid, or alpha^(1/sigma) itself) raises
+    ConvergenceError.
     """
     if d not in (1, 3):
         raise ValueError(f"dimension must be 1 or 3, got {d}")
@@ -142,13 +146,22 @@ def nls_ground_state(sigma: float, alpha: float, d: int,
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
     if d == 3 and not sigma < 2.0:
         raise ValueError(f"need sigma < 2 in d = 3, got {sigma}")
-    h, n = grid.h, grid.n
-    lo, hi = _find_bracket(alpha, sigma, d, h, n)
-    b = bracketed_root(
-        lambda c: (_shoot_once(c, alpha, sigma, d, h, n)[1] == _OVERSHOOT,
-                   None), lo, hi, 1e-12)[0]
-    phi, status, stop = _shoot_once(b, alpha, sigma, d, h, n)
-    phi = _splice_tail(phi, status, stop, alpha, d, grid.nodes)
+    # numpy scalars would make every shot step in numpy scalar arithmetic,
+    # about 3x slower, and overflow to inf with a warning
+    sigma, alpha = float(sigma), float(alpha)
+    h = grid.h
+    fric = rk4_friction(float(d), h, grid.n)
+    try:
+        lo, hi = _find_bracket(alpha, sigma, d, h, fric)
+        b = bracketed_root(
+            lambda c: (_shoot_once(c, alpha, sigma, d, h, fric)[1]
+                       == _OVERSHOOT, None), lo, hi, 1e-12)[0]
+        phi, status, stop = _shoot_once(b, alpha, sigma, d, h, fric)
+        phi = _splice_tail(phi, status, stop, alpha, d, grid.nodes)
+    except OverflowError as exc:
+        raise ConvergenceError(
+            f"shooting overflowed float64 at step h={h:g}, alpha={alpha:g} "
+            f"(sigma={sigma:g})") from exc
     if np.any(phi <= 0.0):
         raise ConvergenceError(
             "shot profile has a zero after tail splicing; widen the grid")
@@ -157,7 +170,7 @@ def nls_ground_state(sigma: float, alpha: float, d: int,
     reduced = np.log(phi[win] * grid.nodes[win] ** ((d - 1) / 2.0))
     x = grid.nodes[win] - grid.nodes[win].mean()
     rate = -float(np.dot(x, reduced - reduced.mean()) / np.dot(x, x))
-    return NlsGroundState(sigma=float(sigma), alpha=float(alpha), d=int(d),
+    return NlsGroundState(sigma=sigma, alpha=alpha, d=int(d),
                           grid=grid, samples=phi, center_value=float(b),
                           decay_rate=rate)
 

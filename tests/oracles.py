@@ -3,7 +3,9 @@
 These deliberately avoid the package's own integrators: the ground-state
 oracle uses a midpoint (RK2) stepper with its own bisection logic, and the
 quadrature oracles go through scipy.integrate.quad.  The leapfrog reference
-is the straightforward numpy stepper the buffered one must match bit for bit.
+is the straightforward numpy stepper the buffered one must match bit for bit,
+and the scalar recurrences (Sturm count, shooting solution, RK4 shot) keep
+their plain loops here for the tuned kernels to match bit for bit.
 The dense-matrix oracles (operator matrix, constrained infimum mu0, the
 symmetrized quadratic form, the eigendecomposition propagators) are O(n^3)
 and meant for small n.  The stable-manifold search twin classifies every
@@ -86,6 +88,104 @@ def rk2_shoot_ground_state(sigma, alpha, d, r_max, n):
     return 0.5 * (lo + hi)
 
 
+def sturm_count_reference(diag, off, x):
+    """solitonlab._kernels.sturm_count as its loop was written before it
+    was tuned (e^2 formed per row, abs in the pivot test, indexed access).
+    The kernel must match it bit for bit."""
+    n = diag.shape[0]
+    pivmin = float(np.finfo(float).tiny
+                   * max(1.0, np.max(off * off, initial=0.0)))
+    diag, off, x = diag.tolist(), off.tolist(), float(x)
+    count = 0
+    d = diag[0] - x
+    if abs(d) <= pivmin:
+        d = -pivmin
+    if d < 0.0:
+        count += 1
+    for i in range(1, n):
+        e = off[i - 1]
+        d = diag[i] - x - e * e / d
+        if abs(d) <= pivmin:
+            d = -pivmin
+        if d < 0.0:
+            count += 1
+    return count
+
+
+def shoot_solution_reference(h2_diag, energy_h2):
+    """solitonlab._kernels.shoot_solution as its loop was written before it
+    was tuned (a preallocated list written by index, abs in the
+    renormalization test).  The kernel must match it bit for bit."""
+    m = h2_diag.shape[0]
+    h2_diag, energy_h2 = h2_diag.tolist(), float(energy_h2)
+    out = [1.0] * m
+    events = []
+    w_prev = 0.0
+    w = 1.0
+    for j in range(m - 1):
+        w_next = (h2_diag[j] - energy_h2) * w - w_prev
+        if w_next == 0.0:
+            w_next = -1e-300 if w > 0.0 else 1e-300
+        aw = abs(w_next)
+        if aw > 1e100:
+            inv = 1.0 / aw
+            events.append((j + 1, inv))
+            w = w * inv
+            w_next = w_next * inv
+        out[j + 1] = w_next
+        w_prev = w
+        w = w_next
+    out = np.array(out)
+    for stop, inv in events:
+        out[:stop] *= inv
+    return out
+
+
+def rk4_shoot_reference(b, alpha2, sigma, dim, h, n, phi_out):
+    """solitonlab._kernels.rk4_shoot as its loop was written before the
+    friction table: (dim-1)/r divided at every stage, 0.5 h and h/6 formed
+    at every use, and phi written into phi_out node by node.  Same return
+    as the kernel; it must match the kernel bit for bit."""
+    two_sig = 2.0 * sigma
+    f0 = alpha2 * b - abs(b) ** two_sig * b
+    phi = b + 0.5 * h * h * f0 / dim
+    dphi = h * f0 / dim
+    phi_out[0] = phi
+    status = 0
+    stop = n - 1
+    fric = dim - 1.0
+    for j in range(1, n):
+        r = j * h
+        k1p = dphi
+        k1q = alpha2 * phi - abs(phi) ** two_sig * phi - fric / r * dphi
+        p2 = phi + 0.5 * h * k1p
+        q2 = dphi + 0.5 * h * k1q
+        rm = r + 0.5 * h
+        k2p = q2
+        k2q = alpha2 * p2 - abs(p2) ** two_sig * p2 - fric / rm * q2
+        p3 = phi + 0.5 * h * k2p
+        q3 = dphi + 0.5 * h * k2q
+        k3p = q3
+        k3q = alpha2 * p3 - abs(p3) ** two_sig * p3 - fric / rm * q3
+        p4 = phi + h * k3p
+        q4 = dphi + h * k3q
+        re = r + h
+        k4p = q4
+        k4q = alpha2 * p4 - abs(p4) ** two_sig * p4 - fric / re * q4
+        phi = phi + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        dphi = dphi + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        phi_out[j] = phi
+        if phi <= 0.0:
+            status = 1
+            stop = j
+            break
+        if dphi > 0.0 and phi < 0.9 * b:
+            status = 2
+            stop = j
+            break
+    return status, stop
+
+
 def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
                              n_steps, stride, mode, psi_cap,
                              w_snap, v_snap, n_plus, weights, k, shift):
@@ -136,8 +236,6 @@ def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
         psi = (b[:-1] + w_bg[:-1]) * inv_r[:-1] if mode == 1 else b[:-1] * inv_r[:-1]
         big = False if bad else bool(np.any(np.abs(psi) > psi_cap))
         if bad or big:
-            if pend >= 0:
-                v_snap[pend] = (b - w_snap[pend]) / dt
             return snap, step, (2 if bad else 1)
 
         if step % stride == 0 and snap < w_snap.shape[0]:

@@ -75,6 +75,15 @@ def test_nls_ground_csv(tmp_path):
     assert data["center_value"] == pytest.approx(4.3374, abs=1e-3)
 
 
+def test_nls_ground_overflow_exit_code(tmp_path, capsys):
+    # alpha = 50 on h = 0.4 overflows a shot's power: a numeric failure
+    rc, out = run_cli(["nls-ground", "--alpha", "50", "--n", "100"],
+                      tmp_path, "ground50")
+    assert rc == 3
+    assert "overflowed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_weinstein_json(tmp_path):
     rc, out = run_cli(["weinstein", "--sigma", "1.0", "--n", "3000"],
                       tmp_path, "wei")

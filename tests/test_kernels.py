@@ -10,7 +10,8 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigvalsh_tridiagonal
 
-from oracles import leapfrog_numpy_reference
+from oracles import (leapfrog_numpy_reference, rk4_shoot_reference,
+                     shoot_solution_reference, sturm_count_reference)
 from solitonlab import _kernels as K
 from solitonlab.errors import SingularSolveError
 from solitonlab.radial import assemble_channel_operator, make_grid
@@ -44,6 +45,17 @@ def test_sturm_count_zero_pivot_stays_finite():
     assert count == np.sum(evals < diag[0]) == n // 2
 
 
+def test_sturm_count_matches_reference(op, rng):
+    # the tuned loop does the reference's float operations in its order;
+    # x = diag[0] and a huge e^2 take the pivmin branch
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 25), [op.diagonal[0]]])
+    for x in xs:
+        assert K.sturm_count(op.diagonal, op.off_diagonal, x) \
+            == sturm_count_reference(op.diagonal, op.off_diagonal, x)
+    diag, off = np.full(64, 2e6), np.full(63, -1e6)
+    assert K.sturm_count(diag, off, 2e6) == sturm_count_reference(diag, off, 2e6)
+
+
 def _sign_flips(w):
     s = np.signbit(w)
     return int(np.count_nonzero(s[1:] != s[:-1]))
@@ -67,6 +79,18 @@ def test_shoot_solution_parity(rng):
     t = np.diag(d - 0.3) - np.eye(m, k=1) - np.eye(m, k=-1)
     minors = np.array([1.0] + [np.linalg.det(t[:j, :j]) for j in range(1, m)])
     assert np.allclose(K.shoot_solution(d, 0.3), minors, rtol=1e-12, atol=1e-12)
+
+
+def test_shoot_solution_matches_reference(op):
+    # bit for bit, signs of underflowed zeros included; the deeply negative
+    # energies renormalize many times
+    h2 = op.grid.h ** 2
+    d = op.diagonal * h2
+    for x in (-1e6, -1e4, -3.0, 0.0, 0.5, 7.0):
+        w = K.shoot_solution(d, x * h2)
+        ref = shoot_solution_reference(d, x * h2)
+        assert np.array_equal(w, ref)
+        assert np.array_equal(np.signbit(w), np.signbit(ref))
 
 
 def _assert_solves(diag, off, rhs):
@@ -99,7 +123,8 @@ def test_rk4_shoot_parity():
     # same series start, up to RK4's O(h^4) error
     n, h, b = 800, 0.05, 4.2
     phi = np.empty(n)
-    status, stop = K.rk4_shoot(b, 1.0, 1.0, 3.0, h, n, phi)
+    status, stop = K.rk4_shoot(b, 1.0, 1.0, 3.0, h, K.rk4_friction(3.0, h, n),
+                               phi)
     assert status == 2 and 1 < stop < n - 1  # b = 4.2 turns upward
 
     def rhs(r, y):
@@ -110,6 +135,27 @@ def test_rk4_shoot_parity():
     ref = solve_ivp(rhs, (h, r[-1]), [b + 0.5 * h * h * f0 / 3.0, h * f0 / 3.0],
                     method="DOP853", t_eval=r, rtol=1e-12, atol=1e-12)
     assert np.abs(phi[:stop] - ref.y[0]).max() < 1e-4
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("sigma", [0.5, 0.9, 1.0])
+def test_rk4_shoot_matches_reference(d, sigma):
+    # the friction table and the hoisted constants leave every float of a
+    # shot as the plain loop makes it; 1.05 b0 reaches the last node, the
+    # scan over b overshoots and undershoots, and sigma = 0.5 (2 sigma = 1)
+    # is the power that keeps the sign of a zero
+    n, h = 1200, 0.025
+    fric = K.rk4_friction(float(d), h, n)
+    statuses = set()
+    for b in [1.05] + list(np.linspace(1.2, 6.0, 13)):
+        phi = np.zeros(n)
+        ref = np.zeros(n)
+        status, stop = K.rk4_shoot(b, 1.0, sigma, float(d), h, fric, phi)
+        assert (status, stop) == rk4_shoot_reference(b, 1.0, sigma, float(d),
+                                                     h, n, ref)
+        assert np.array_equal(phi[:stop + 1], ref[:stop + 1])
+        statuses.add(status)
+    assert statuses == {0, 1, 2}
 
 
 def _leapfrog_case(mode, n=400, n_steps=200, stride=20):

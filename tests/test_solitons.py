@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from solitonlab import solitons
+from solitonlab.errors import ConvergenceError
 from solitonlab.radial import (apply_operator, assemble_channel_operator,
                                integrate, make_grid)
 from solitonlab.solitons import (aubin_dphi_da, aubin_phi, aubin_potential,
@@ -146,6 +147,16 @@ def test_ground_state_rejects_bad_args():
         nls_ground_state(2.5, 1.0, 3, g)
     with pytest.raises(ValueError):
         nls_ground_state(1.0, 1.0, 2, g)
+
+
+@pytest.mark.parametrize("sigma, alpha, n", [
+    (1.0, 5.0, 100),             # a shot's power overflows on the coarse grid
+    (1.0, np.float64(5.0), 100),  # the same as a numpy scalar
+    (0.001, 10.0, 3000),         # the rest value alpha^(1/sigma) overflows
+], ids=["shot", "numpy-scalar", "rest-value"])
+def test_ground_state_overflow_is_convergence_error(sigma, alpha, n):
+    with pytest.raises(ConvergenceError, match="h=.*alpha="):
+        nls_ground_state(sigma, alpha, 3, make_grid(40.0, n))
 
 
 def test_ground_state_ends_when_ulp_of_center_exceeds_tol(monkeypatch):

@@ -125,23 +125,17 @@ def cmd_bs_count(args):
     }}
 
 
-def _gap_report_payload(report):
-    return {
-        "sigma": report.sigma,
-        "alpha_sq": report.alpha_sq,
-        "eigenvalues": {name: {str(ell): vals for ell, vals in chans.items()}
-                        for name, chans in report.eigenvalues.items()},
-        "edge_resonance": {name: {str(ell): bool(f) for ell, f in chans.items()}
-                           for name, chans in report.edge_resonance.items()},
-        "gap_holds": report.gap_holds,
-    }
-
-
 def cmd_gap_scan(args):
     g = make_grid(args.r_max, args.n)
     profile = nls_ground_state(args.sigma, args.alpha, args.d, g)
     report = gap_scan(assemble_linearized_pair(profile, tuple(args.ells)))
-    return {"gap_scan.json": _gap_report_payload(report)}
+    return {"gap_scan.json": {
+        "sigma": report.sigma,
+        "alpha_sq": report.alpha_sq,
+        "eigenvalues": report.eigenvalues,
+        "edge_resonance": report.edge_resonance,
+        "gap_holds": report.gap_holds,
+    }}
 
 
 def cmd_sigma_star(args):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import BracketError, ConvergenceError, SingularSolveError
+from .errors import BracketError, SingularSolveError
 from .radial import (assemble_channel_operator, bracketed_root, inner_3d,
                      integrate, make_grid, solve_shifted)
 from .solitons import NlsGroundState, d_alpha_ground_state, nls_ground_state
@@ -204,32 +204,28 @@ def mu0(pair: LinearizedPair) -> float:
     the secular function f(mu) = q^T (L_plus - mu)^(-1) q (Golub 1973;
     Weinstein 1986).  f increases between its poles, so mu0 is its unique
     root between the two lowest eigenvalues of L_plus, which come from
-    LAPACK bisection.  Each f is one tridiagonal solve, with derivative
-    f' = |(L_plus - mu)^(-1) q|^2; the root is found by Newton steps kept
-    inside the sign bracket, bisecting when a step leaves it.
+    LAPACK bisection.  radial.bracketed_root shrinks that bracket on the
+    sign of f, steered by the Newton estimate f/f' of mu - mu0, where
+    f' = |(L_plus - mu)^(-1) q|^2; each call is one tridiagonal solve, and
+    a mu whose estimate is within four ulps of the bracket's scale is the
+    root.  The solve resolves mu only to the ulp of the diagonal (2^-39,
+    about 1.8e-12, on make_grid(40, 3000)), so f is a step function of mu;
+    where Newton steps would creep along one flat step, bracketed_root
+    takes a midpoint after three calls on one side.
     """
     op = pair.L_plus[0]
     q = pair.profile.grid.nodes * pair.profile.samples
     q = q / np.linalg.norm(q)
     lo, hi = eigh_tridiagonal(op.diagonal, op.off_diagonal, eigvals_only=True,
                               select="i", select_range=(0, 1), tol=1e-300)
-    mu = 0.5 * (lo + hi)
-    for _ in range(100):
+    tol = 4.0 * np.spacing(max(abs(lo), abs(hi)) + 1.0)
+
+    def side(mu):
         x = solve_shifted(op, mu, q)
-        f = float(q @ x)
-        if f == 0.0:
-            return float(mu)
-        if f < 0.0:
-            lo = mu
-        else:
-            hi = mu
-        step = mu - f / float(x @ x)
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if abs(step - mu) <= 4.0 * np.spacing(abs(mu) + 1.0):
-            return float(step)
-        mu = step
-    raise ConvergenceError("mu0 secular iteration did not converge")
+        d = float(q @ x) / float(x @ x)
+        return (d > 0.0 if abs(d) > tol else None), d
+
+    return float(bracketed_root(side, lo, hi, tol)[0])
 
 
 def instability_criterion(sigma: float, d: int) -> dict:

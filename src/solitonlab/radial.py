@@ -4,7 +4,7 @@ Everything downstream works with the reduced field w(r) = r f(r) on a
 uniform grid over (0, r_max].  A radial operator -f'' - (2/r) f' + ... in
 three dimensions becomes -w'' + [l(l+1)/r^2 + V(r)] w on the half line with
 a Dirichlet condition at r = 0, which is what ChannelOperator discretizes.
-bracketed_root serves the Sturm, shooting, sigma* and h* bracket searches.
+bracketed_root serves the Sturm, shooting, sigma*, mu0 and h* bracket searches.
 """
 
 from dataclasses import dataclass, field
@@ -135,10 +135,13 @@ def fit_loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     y = np.abs(np.asarray(y, dtype=float))
     if np.any(y <= 0.0):
         raise ValueError("tail fit needs strictly nonzero samples")
-    lx = np.log(x)
-    ly = np.log(y)
-    lx = lx - lx.mean()
-    return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+    return least_squares_slope(np.log(x), np.log(y))
+
+
+def least_squares_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x from centred dot products."""
+    x = x - x.mean()
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
 def bracketed_root(f, lo: float, hi: float, tol: float):

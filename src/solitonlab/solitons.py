@@ -18,7 +18,7 @@ import numpy as np
 
 from ._kernels import rk4_friction, rk4_shoot
 from .errors import ConvergenceError
-from .radial import RadialGrid, bracketed_root
+from .radial import RadialGrid, bracketed_root, least_squares_slope
 
 _OVERSHOOT = 1  # rk4_shoot's status of a shot that crossed zero
 
@@ -77,27 +77,19 @@ def _shoot_once(b, alpha, sigma, d, h, fric):
 
 
 def _find_bracket(alpha, sigma, d, h, fric):
-    """Scan upward from just above the rest value for an under/over pair."""
-    base = alpha ** (1.0 / sigma)
-    lo = None
-    b = 1.05 * base
-    for _ in range(200):
-        _, status, _ = _shoot_once(b, alpha, sigma, d, h, fric)
-        if status == _OVERSHOOT:
-            if lo is not None:
-                return lo, b
-            # overshoot straight away: back off to find an undershoot
+    """Under/over pair of phi(0) from one scan that starts just above the
+    rest value: up by 1.3 while shots undershoot, down by 1.02 while the
+    first shots overshoot."""
+    b = 1.05 * alpha ** (1.0 / sigma)
+    lo = hi = None
+    for _ in range(401):
+        if _shoot_once(b, alpha, sigma, d, h, fric)[1] == _OVERSHOOT:
             hi = b
-            b_down = b / 1.02
-            for _ in range(400):
-                _, status, _ = _shoot_once(b_down, alpha, sigma, d, h, fric)
-                if status != _OVERSHOOT:
-                    return b_down, hi
-                hi = b_down
-                b_down /= 1.02
-            break
-        lo = b
-        b *= 1.3
+        else:
+            lo = b
+        if lo is not None and hi is not None:
+            return lo, hi
+        b = b * 1.3 if hi is None else b / 1.02
     raise ConvergenceError(
         f"no shooting bracket found for sigma={sigma}, alpha={alpha}, d={d}")
 
@@ -168,8 +160,7 @@ def nls_ground_state(sigma: float, alpha: float, d: int,
     # decay rate from the linear tail of r^((d-1)/2) phi
     win = grid.nodes >= 0.6 * grid.r_max
     reduced = np.log(phi[win] * grid.nodes[win] ** ((d - 1) / 2.0))
-    x = grid.nodes[win] - grid.nodes[win].mean()
-    rate = -float(np.dot(x, reduced - reduced.mean()) / np.dot(x, x))
+    rate = -least_squares_slope(grid.nodes[win], reduced)
     return NlsGroundState(sigma=sigma, alpha=alpha, d=int(d),
                           grid=grid, samples=phi, center_value=float(b),
                           decay_rate=rate)

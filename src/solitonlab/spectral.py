@@ -199,29 +199,26 @@ def edge_diagnosis(op: ChannelOperator, edge: float) -> dict:
     """Tail diagnosis of the regular solution at the essential-spectrum edge.
 
     For exponentially short-range potentials the edge-energy solution is
-    asymptotically c_1 + c_r r, fitted on [0.7 r_max, r_max].  Reports the
-    resonance flag (bounded solution: |c_r| r_max below 1e-3 |c_1|) and
-    whether the fitted asymptote crosses zero beyond r_max, which signals
-    a weakly bound eigenvalue the truncated interval cannot resolve
-    (crossing radius ~ 1/binding rate).
+    asymptotically c_1 + c_r r, fitted on [0.7 r_max, r_max].  Reports c_1
+    and c_r (c_const, c_linear), the resonance flag (bounded solution:
+    |c_r| r_max below 1e-3 |c_1|) and whether the fitted asymptote crosses
+    zero beyond r_max, which signals a weakly bound eigenvalue the
+    truncated interval cannot resolve (crossing radius ~ 1/binding rate).
     """
     g = op.grid
     w = regular_solution(op, edge)
-    ncross = _count_sign_changes(w)
     mask = g.nodes >= _TAIL_WINDOW * g.r_max
     r_win = g.nodes[mask]
     scale = np.abs(w[mask]).max()
     w_win = w[mask] / scale
-    (c_1, c_r), resid = _tail_fit(r_win, w_win, [np.ones_like, lambda r: r])
+    (c_1, c_r), _ = _tail_fit(r_win, w_win, [np.ones_like, lambda r: r])
     resonance = abs(c_r) * g.r_max < _TAIL_THRESHOLD * abs(c_1)
     hidden_crossing = (c_1 + c_r * g.r_max) * c_r < 0.0 and not resonance
     return {
-        "crossings": int(ncross),
         "c_const": float(c_1),
         "c_linear": float(c_r),
         "edge_resonance": bool(resonance),
         "hidden_crossing": bool(hidden_crossing),
-        "fit_residual": float(resid),
     }
 
 

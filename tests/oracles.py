@@ -5,7 +5,9 @@ oracle uses a midpoint (RK2) stepper with its own bisection logic, and the
 quadrature oracles go through scipy.integrate.quad.  The leapfrog reference
 is the straightforward numpy stepper the buffered one must match bit for bit,
 and the scalar recurrences (Sturm count, shooting solution, RK4 shot) keep
-their plain loops here for the tuned kernels to match bit for bit.
+their plain loops here for the tuned kernels to match bit for bit; the
+ground-state bracket scan keeps its two nested loops for the one-loop scan
+to match shot for shot.
 The dense-matrix oracles (operator matrix, constrained infimum mu0, the
 symmetrized quadratic form, the eigendecomposition propagators) are O(n^3)
 and meant for small n.  The stable-manifold search twin classifies every
@@ -184,6 +186,31 @@ def rk4_shoot_reference(b, alpha2, sigma, dim, h, n, phi_out):
             stop = j
             break
     return status, stop
+
+
+def find_bracket_reference(overshoots, alpha, sigma):
+    """solitonlab.solitons._find_bracket as two nested scans: up by 1.3 from
+    1.05 alpha^(1/sigma) while shots undershoot, and down by 1.02 when the
+    first shot overshoots.  overshoots(b) shoots phi(0) = b; returns the
+    (under, over) pair, or None where the package raises."""
+    base = alpha ** (1.0 / sigma)
+    lo = None
+    b = 1.05 * base
+    for _ in range(200):
+        if overshoots(b):
+            if lo is not None:
+                return lo, b
+            hi = b
+            b_down = b / 1.02
+            for _ in range(400):
+                if not overshoots(b_down):
+                    return b_down, hi
+                hi = b_down
+                b_down /= 1.02
+            return None
+        lo = b
+        b *= 1.3
+    return None
 
 
 def leapfrog_numpy_reference(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,

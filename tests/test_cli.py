@@ -94,6 +94,17 @@ def test_weinstein_json(tmp_path):
     assert data["criterion"]["unstable"] is True
 
 
+def test_weinstein_near_critical_sigma(tmp_path):
+    # mu0 near sigma = 2/3, where Newton steps on the secular function
+    # creep along one of its flat steps
+    rc, out = run_cli(["weinstein", "--sigma", "0.7", "--n", "3000"],
+                      tmp_path, "wei07")
+    assert rc == 0
+    data = json.loads((out / "weinstein.json").read_text())
+    assert data["mu0"] < 0
+    assert data["criterion"]["unstable"] is True
+
+
 def test_weinstein_deep_ground_state_exits(tmp_path):
     # alpha = 10 puts L_plus's ground energy near -1.5e3, where one ulp
     # exceeds the bisection tolerance

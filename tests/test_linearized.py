@@ -260,10 +260,12 @@ def test_mu0_sign_matches_h0():
         assert np.sign(mu0(pair)) == -np.sign(weinstein_h(pair, 0.0))
 
 
-@pytest.mark.parametrize("sigma", [0.5, 2.0 / 3.0 - 0.05, 2.0 / 3.0 + 0.05, 1.0])
+@pytest.mark.parametrize("sigma", [0.5, 2.0 / 3.0 - 0.05, 2.0 / 3.0 + 0.05,
+                                   0.69, 1.0])
 def test_mu0_matches_dense_oracle(sigma):
-    # criterion 5's sigma values and grid; the secular root against the
-    # dense deflated eigensolve
+    # criterion 5's sigma values and grid, and 0.69, where Newton steps on
+    # the secular function creep along one of its flat steps; the secular
+    # root against the dense deflated eigensolve
     g = make_grid(40.0, 1200)
     pair = assemble_linearized_pair(nls_ground_state(sigma, 1.0, 3, g), (0,))
     assert abs(mu0(pair) - dense_mu0(pair)) <= 1e-9

@@ -9,8 +9,9 @@ from solitonlab.solitons import (aubin_dphi_da, aubin_phi, aubin_potential,
                                  aubin_values, d_alpha_ground_state,
                                  nls_ground_state)
 
-from oracles import (ground_state_mass, profile_tail_slope,
-                     rescale_ground_state, rk2_shoot_ground_state)
+from oracles import (find_bracket_reference, ground_state_mass,
+                     profile_tail_slope, rescale_ground_state,
+                     rk2_shoot_ground_state)
 
 
 def test_aubin_center_values():
@@ -137,6 +138,36 @@ def test_ground_state_ode_residual_order():
         hs.append(g.h)
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     assert 1.8 <= slope <= 2.2
+
+
+def test_d1_ground_state_when_first_shot_overshoots():
+    # at sigma = 40 the first shot, 1.05 alpha^(1/sigma), already crosses
+    # zero, so the bracket comes from the downward scan
+    p = nls_ground_state(40.0, 1.0, 1, make_grid(40.0, 1500))
+    assert 1.05 / 1.02 < p.center_value < 1.05
+    assert np.all(p.samples > 0.0)
+
+
+@pytest.mark.parametrize("sigma, d", [(1.0, 3), (0.5, 3), (1.9, 3),
+                                      (1.0, 1), (40.0, 1), (50.0, 1)])
+def test_find_bracket_matches_two_loop_reference(monkeypatch, sigma, d):
+    g = make_grid(40.0, 1500)
+    fric = solitons.rk4_friction(float(d), g.h, g.n)
+    shots, ref_shots = [], []
+    shoot = solitons._shoot_once
+
+    def recorded_shoot(b, *args):
+        shots.append(b)
+        return shoot(b, *args)
+
+    def overshoots(b):
+        ref_shots.append(b)
+        return shoot(b, 1.0, sigma, d, g.h, fric)[1] == 1
+
+    expected = find_bracket_reference(overshoots, 1.0, sigma)
+    monkeypatch.setattr(solitons, "_shoot_once", recorded_shoot)
+    assert solitons._find_bracket(1.0, sigma, d, g.h, fric) == expected
+    assert shots == ref_shots
 
 
 def test_ground_state_rejects_bad_args():

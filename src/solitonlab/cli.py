@@ -35,14 +35,6 @@ from .dynamics import (RadialState, evolve_nlw, evolve_unstable_mode,
 from .radial import assemble_channel_operator
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _run(args) -> int:
     """Run the subcommand and write its files plus manifest.json.
 
@@ -80,8 +72,7 @@ def _run(args) -> int:
                 ",".join(format(x, ".17g") for x in row) + "\n"
                 for row in np.column_stack(columns))
         else:
-            text = json.dumps(data, indent=2, sort_keys=True,
-                              default=_json_default) + "\n"
+            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
         (out / name).write_text(text)
     return code
 
@@ -139,8 +130,7 @@ def cmd_gap_scan(args):
 
 
 def cmd_sigma_star(args):
-    cfg = SigmaStarConfig(alpha=args.alpha, d=args.d,
-                          r_max_over_alpha=args.r_max * args.alpha,
+    cfg = SigmaStarConfig(alpha=args.alpha, d=args.d, r_max=args.r_max,
                           n=args.n, ells=tuple(args.ells))
     value = sigma_star((args.lo, args.hi), args.tol, cfg)
     return {"sigma_star.json": {

@@ -31,6 +31,7 @@ from .spectral import negative_eigenpairs
 _BACKGROUND_CACHE = {}
 _MODE_CACHE = {}
 _CFL = 0.9  # the leapfrog step is _CFL h
+_PSI_CAP = 1e3 * aubin_phi(0.0, 1.0)  # a run past this amplitude is blowup
 
 
 def static_background(grid: RadialGrid) -> np.ndarray:
@@ -129,15 +130,19 @@ class RadialState:
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Snapshot spacing and exit threshold of evolve_nlw.
+    """The stepper's two run values, defined once: the dynamics read them
+    from _DEFAULTS and take no EvolveConfig.
 
-    stride_time: time between recorded snapshots.
+    stride_time: evolve_nlw's default time between recorded snapshots.
     exit_n_plus: |n_plus| beyond which the run has left the soliton
       neighborhood; the sign labels the side (positive: blowup branch).
     """
 
     stride_time: float = 0.25
     exit_n_plus: float = 0.2
+
+
+_DEFAULTS = EvolveConfig()
 
 
 @dataclass(frozen=True)
@@ -209,26 +214,26 @@ class _Run:
         return self.sup_deviation()
 
 
-def _time_grid(grid: RadialGrid, t_final: float, config: EvolveConfig):
+def _time_grid(grid: RadialGrid, t_final: float, stride_time: float):
     """(dt, n_steps, stride) of a run, with dt = _CFL h."""
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     dt = _CFL * grid.h
     n_steps = max(1, int(round(t_final / dt)))
-    stride = max(1, int(round(config.stride_time / dt)))
+    stride = max(1, int(round(stride_time / dt)))
     return dt, n_steps, stride
 
 
-def _step(initial: RadialState, t_final: float, config: EvolveConfig,
+def _step(initial: RadialState, t_final: float, stride_time: float,
           early_exit: bool = False) -> _Run:
     """Leapfrog core shared by evolve_nlw and the stable-manifold search.
 
-    Background a = 1, amplitude cap 1e3 phi(0, 1); ValueError for non-finite
+    Background a = 1, amplitude cap _PSI_CAP; ValueError for non-finite
     data.  One stepper: perturbation data step about bg = w_bg, full-field
     data about bg = 0.  The stepper records n_plus of u - phi in either
     frame, the full frame by subtracting the background's amplitude.  With
     early_exit it stops at the first snapshot whose |n_plus| exceeds
-    config.exit_n_plus, where the outcome is fixed.
+    _DEFAULTS.exit_n_plus, where the outcome is fixed.
     """
     if not (np.isfinite(initial.u).all() and np.isfinite(initial.ut).all()):
         raise ValueError("initial data must be finite")
@@ -236,7 +241,7 @@ def _step(initial: RadialState, t_final: float, config: EvolveConfig,
     r = grid.nodes
     h = grid.h
     n = grid.n
-    dt, n_steps, stride = _time_grid(grid, t_final, config)
+    dt, n_steps, stride = _time_grid(grid, t_final, stride_time)
     w_bg = static_background(grid)
     mode = unstable_mode(grid)
 
@@ -245,7 +250,6 @@ def _step(initial: RadialState, t_final: float, config: EvolveConfig,
     v0 = r * initial.ut
 
     n_snap = n_steps // stride + 1
-    psi_cap = 1e3 * aubin_phi(0.0, 1.0)
 
     w_snap = np.zeros((n_snap, n))
     v_snap = np.zeros((n_snap, n))
@@ -258,13 +262,13 @@ def _step(initial: RadialState, t_final: float, config: EvolveConfig,
 
     n_got, stop_step, reason = leapfrog(
         w0, v0, 1.0 / r, inv_r4, bg, 1.0 / h ** 2, dt,
-        n_steps, stride, psi_cap, w_snap, v_snap, n_plus, p, mode.k, shift,
-        config.exit_n_plus if early_exit else np.inf)
+        n_steps, stride, _PSI_CAP, w_snap, v_snap, n_plus, p, mode.k, shift,
+        _DEFAULTS.exit_n_plus if early_exit else np.inf)
     return _Run(grid, w_bg, mode, bg, dt, stride, w_snap[:n_got],
                 v_snap[:n_got], n_plus[:n_got], stop_step, reason)
 
 
-def _outcome(run: _Run, config: EvolveConfig):
+def _outcome(run: _Run):
     """(outcome, blowup_time, exit_time) of a run.
 
     The amplitude cap means blowup; otherwise the first snapshot with
@@ -276,7 +280,7 @@ def _outcome(run: _Run, config: EvolveConfig):
     if run.reason in (1, 2):
         return "blowup", run.stop_step * run.dt, math.nan
     n_plus = run.n_plus
-    j = _exit_index(run, config)
+    j = _exit_index(run)
     if j < len(n_plus):
         return ("blowup" if n_plus[j] > 0 else "dispersal"), math.nan, run.times[j]
     r = run.grid.nodes
@@ -289,7 +293,7 @@ def _outcome(run: _Run, config: EvolveConfig):
         streak = 0
         for j, s in enumerate(settled):
             streak = streak + 1 if s else 0
-            if streak >= need and abs(n_plus[j]) < config.exit_n_plus:
+            if streak >= need and abs(n_plus[j]) < _DEFAULTS.exit_n_plus:
                 return "dispersal", math.nan, run.times[j]
     psi0 = (run.W[0] + run.bg) / r
     if all(np.abs((w + run.bg) / r - psi0).max() <= 0.01 for w in run.W):
@@ -297,17 +301,17 @@ def _outcome(run: _Run, config: EvolveConfig):
     return "undecided", math.nan, math.nan
 
 
-def _exit_index(run: _Run, config: EvolveConfig) -> int:
-    """Index of the first snapshot with |n_plus| > config.exit_n_plus, or
+def _exit_index(run: _Run) -> int:
+    """Index of the first snapshot with |n_plus| > _DEFAULTS.exit_n_plus, or
     len(run.W) when there is none."""
-    exited = np.abs(run.n_plus) > config.exit_n_plus
+    exited = np.abs(run.n_plus) > _DEFAULTS.exit_n_plus
     return int(np.argmax(exited)) if exited.any() else len(exited)
 
 
-def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
-    """(outcome, offset): evolve_nlw(initial, t_final, config=config).outcome,
-    stepping only until the outcome is fixed, and the run's measure of its
-    distance h - h* from the stable manifold along g.
+def _classify(initial: RadialState, t_final: float):
+    """(outcome, offset): evolve_nlw(initial, t_final).outcome, stepping only
+    until the outcome is fixed, and the run's measure of its distance h - h*
+    from the stable manifold along g.
 
     While the run is linear, n_plus(t) ~ e^{kt} (h - h*)/2, so the offset is
     2 e^{-k t_j} n_plus(t_j) at the last snapshot j >= 1 before the decision
@@ -319,10 +323,10 @@ def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
     record, the stepper's n_plus of u - phi, so data in either frame stop
     where evolve_nlw's run decides.
     """
-    run = _step(initial, t_final, config, early_exit=True)
-    outcome = _outcome(run, config)[0]
+    run = _step(initial, t_final, _DEFAULTS.stride_time, early_exit=True)
+    outcome = _outcome(run)[0]
     n_plus = run.n_plus
-    linear = np.abs(n_plus[1:_exit_index(run, config)]) <= _LINEAR_N_PLUS
+    linear = np.abs(n_plus[1:_exit_index(run)]) <= _LINEAR_N_PLUS
     if not linear.any():
         return outcome, None
     j = 1 + int(np.flatnonzero(linear)[-1])
@@ -331,7 +335,7 @@ def _classify(initial: RadialState, t_final: float, config: EvolveConfig):
 
 
 def evolve_nlw(initial: RadialState, t_final: float,
-               config: EvolveConfig = EvolveConfig()) -> Trajectory:
+               stride_time: float = _DEFAULTS.stride_time) -> Trajectory:
     """Leapfrog evolution of the radial quintic wave equation.
 
     Full-frame states advance the field itself; perturbation-frame states
@@ -339,7 +343,7 @@ def evolve_nlw(initial: RadialState, t_final: float,
     cancellation.  The step is the CFL step 0.9 h.  Records sup
     |psi - phi|, energy, the local energy inside r <= 5, and the
     unstable-mode amplitude n_plus of psi - phi (the stepper's own record)
-    at every output stride, then classifies the outcome (stationary /
+    every stride_time, then classifies the outcome (stationary /
     dispersal / blowup / undecided; see _outcome).
 
     A run keeps one record of u and one of u_t, a row per snapshot: the
@@ -347,7 +351,7 @@ def evolve_nlw(initial: RadialState, t_final: float,
     are computed before it is converted in place, with at most one scratch
     array of its size.
     """
-    run = _step(initial, t_final, config)
+    run = _step(initial, t_final, stride_time)
     grid = initial.grid
     r = grid.nodes
     ip = 4.0 * np.pi
@@ -358,7 +362,7 @@ def evolve_nlw(initial: RadialState, t_final: float,
         for ww, vv in zip(pert, run.V)])
     energy = np.array([discrete_energy(grid, ww + run.bg, vv)
                        for ww, vv in zip(run.W, run.V)])
-    outcome, blowup_time, exit_time = _outcome(run, config)
+    outcome, blowup_time, exit_time = _outcome(run)
     sup_norms, n_plus = run.sup_norms, run.n_plus
     # nothing reads W or V as the stepped field after this: they become
     # psi = (w + bg)/r and psi_t = v/r in place
@@ -491,7 +495,7 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     The bracket must produce distinct outcomes at its ends, and it keeps
     them: every candidate replaces the end with its outcome.  Each
     classification run stops at its decision (|n_plus| past
-    EvolveConfig().exit_n_plus, or the amplitude cap) and measures its distance
+    _DEFAULTS.exit_n_plus, or the amplitude cap) and measures its distance
     from the manifold, n_plus(t) ~ e^{kt} (h - h*)/2 (see _classify), both
     from the n_plus that the stepper records, which is evolve_nlw's
     n_plus_series too.
@@ -520,8 +524,7 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
             f"bracket_width must be positive and finite, got {bracket_width}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be nonnegative and finite, got {tol}")
-    config = EvolveConfig()
-    dt, n_steps, stride = _time_grid(grid, t_horizon, config)
+    dt, n_steps, stride = _time_grid(grid, t_horizon, _DEFAULTS.stride_time)
     t_need = _min_fit_horizon(dt, stride)
     if (n_steps // stride) * stride * dt < t_need:
         raise ValueError(
@@ -535,8 +538,8 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     def state(hc):
         return RadialState(grid, f1p + hc * mode.g, f2p, "perturbation")
 
-    out_lo = _classify(state(-bracket_width), t_horizon, config)[0]
-    out_hi = _classify(state(bracket_width), t_horizon, config)[0]
+    out_lo = _classify(state(-bracket_width), t_horizon)[0]
+    out_hi = _classify(state(bracket_width), t_horizon)[0]
     if out_lo == out_hi or "undecided" in (out_lo, out_hi):
         raise BracketError(
             f"bracket ends gave {out_lo!r}/{out_hi!r}; widen it")
@@ -544,12 +547,12 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
 
     def side(hc):
         candidates.append(hc)
-        out, offset = _classify(state(hc), t_horizon, config)
+        out, offset = _classify(state(hc), t_horizon)
         return (None if out == "undecided" else out != out_lo), offset
 
     h_star, (lo, hi), n_estimates = bracketed_root(
         side, -bracket_width, bracket_width, tol)
-    traj = evolve_nlw(state(h_star), t_horizon, config=config)
+    traj = evolve_nlw(state(h_star), t_horizon)
     t_clean = _near_manifold_span(traj)
     if math.isfinite(traj.blowup_time):
         t_clean = min(t_clean, traj.blowup_time)

@@ -110,9 +110,12 @@ def gap_scan(pair: LinearizedPair) -> GapReport:
 
 @dataclass(frozen=True)
 class SigmaStarConfig:
+    """The ground states of a sigma_star search: frequency alpha, dimension
+    d, grid make_grid(r_max, n), and the channels ells of the gap scan."""
+
     alpha: float = 1.0
     d: int = 3
-    r_max_over_alpha: float = 40.0
+    r_max: float = 40.0
     n: int = 3000
     ells: tuple = (0, 1)
 
@@ -126,7 +129,7 @@ def gap_side_at(sigma: float, config: SigmaStarConfig = SigmaStarConfig()):
     +0.09 at 1.0 at the default grid).  d is None when config.ells has no
     0 or the ratio is not finite.
     """
-    g = make_grid(config.r_max_over_alpha / config.alpha, config.n)
+    g = make_grid(config.r_max, config.n)
     profile = nls_ground_state(sigma, config.alpha, config.d, g)
     report = gap_scan(assemble_linearized_pair(profile, config.ells))
     ratio = report.tail_ratios["L_plus"].get(0, np.nan)

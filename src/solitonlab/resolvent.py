@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NotAZeroModeError, SingularSolveError
 from .radial import (RadialGrid, apply_operator, assemble_channel_operator,
-                     fit_loglog_slope, inner_3d, integrate)
+                     fit_loglog_slope, inner_3d)
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ def classify_zero_mode(V: np.ndarray, f: np.ndarray, grid: RadialGrid,
         raise NotAZeroModeError(f"relative residual {rel:.2e} exceeds 1e-5")
     if ell == 0:
         v_int = inner_3d(grid, V, f)
-        v_scale = 4.0 * np.pi * integrate(grid, np.abs(V * f) * grid.nodes ** 2)
+        v_scale = inner_3d(grid, np.abs(V), np.abs(f))
         significant = abs(v_int) > 1e-3 * max(v_scale, 1e-300)
     else:
         v_int = 0.0

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-import solitonlab.dynamics as dynamics
 from solitonlab.dynamics import (RadialState, evolve_nlw, evolve_unstable_mode,
                                  find_stable_h, linear_propagate,
                                  project_to_sigma0, sine_split,
@@ -377,13 +376,13 @@ def test_criterion_12_property_suites():
     u0f = lambda rr: 0.05 * np.exp(-(rr - 1.5) ** 2)
     ref = evolve_nlw(RadialState(g_ref, u0f(g_ref.nodes), np.zeros(ref_n),
                                  "perturbation"), 2.0,
-                     config=dynamics.EvolveConfig(stride_time=2.0))
+                     stride_time=2.0)
     uref = ref.snapshots[-1].u
     for n in (750, 1500, 3000):
         gg = make_grid(30.0, n)
         tr = evolve_nlw(RadialState(gg, u0f(gg.nodes), np.zeros(n),
                                     "perturbation"), 2.0,
-                        config=dynamics.EvolveConfig(stride_time=2.0))
+                        stride_time=2.0)
         step = ref_n // n
         errs.append(np.abs(tr.snapshots[-1].u - uref[step - 1::step]).max())
         hs.append(gg.h)

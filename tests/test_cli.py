@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,11 @@ from pathlib import Path
 import pytest
 
 from solitonlab.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+# a child Python imports the package from this checkout, installed or not
+_CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def run_cli(args, tmp_path, name):
@@ -57,6 +63,27 @@ def test_sigma_star_bad_bracket_exit_code(tmp_path):
     rc, _ = run_cli(["sigma-star", "--lo", "0.95", "--hi", "1.0",
                      "--n", "1500"], tmp_path, "ssbad")
     assert rc == 4
+
+
+def test_sigma_star_shoots_on_the_reported_r_max(tmp_path, monkeypatch):
+    # every ground state is shot on the grid the payload reports; at
+    # alpha = 1.697, 20 * alpha / alpha rounds to 19.999999999999996, so any
+    # rescaling of --r-max by alpha shows
+    import solitonlab.linearized as linearized
+    seen = []
+    make_grid = linearized.make_grid
+
+    def spy(r_max, n):
+        seen.append((r_max, n))
+        return make_grid(r_max, n)
+
+    monkeypatch.setattr(linearized, "make_grid", spy)
+    rc, out = run_cli(["sigma-star", "--r-max", "20", "--alpha", "1.697",
+                       "--n", "400"], tmp_path, "ss20")
+    assert rc == 0
+    data = json.loads((out / "sigma_star.json").read_text())
+    assert data["grid"] == {"r_max": 20.0, "n": 400}
+    assert seen and all(call == (20.0, 400) for call in seen)
 
 
 def test_invalid_config_exit_code(tmp_path):
@@ -228,14 +255,14 @@ def test_cli_import_loads_no_scipy_subpackage_but_linalg():
             "n for n, m in list(sys.modules.items()) if n.count('.') == 1"
             " and n.startswith('scipy.') and not n.startswith('scipy._')"
             " and hasattr(m, '__path__')))")
-    proc = subprocess.run([sys.executable, "-B", "-c", code],
+    proc = subprocess.run([sys.executable, "-B", "-c", code], env=_CHILD_ENV,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["scipy.linalg"]
 
 
 def test_console_entrypoint_help():
     proc = subprocess.run([sys.executable, "-m", "solitonlab.cli", "--help"],
-                          capture_output=True, text=True)
+                          env=_CHILD_ENV, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "sigma-star" in proc.stdout
 
@@ -376,9 +403,6 @@ def test_mode_ode_dt_past_horizon_names_it(tmp_path, capsys):
     rc, _ = run_cli(["mode-ode", "--n", "400", "--dt", "100"], tmp_path, "mo")
     assert rc == 2
     assert "horizon 20/k" in capsys.readouterr().err
-
-
-REPO = Path(__file__).resolve().parent.parent
 
 
 def test_every_public_package_name_has_a_caller():

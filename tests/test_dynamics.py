@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from solitonlab import dynamics
-from solitonlab.dynamics import (EvolveConfig, RadialState, _classify,
+from solitonlab.dynamics import (RadialState, _classify,
                                  _WaveFlow, project_to_sigma0,
                                  evolve_nlw, evolve_unstable_mode, fit_decay,
                                  find_stable_h, linear_propagate, sine_split,
@@ -190,12 +190,12 @@ def test_evolution_second_order_convergence():
     r_ref = g_ref.nodes
     u0f = lambda r: 0.05 * np.exp(-(r - 1.5) ** 2)
     st = RadialState(g_ref, u0f(r_ref), np.zeros(ref_n), "perturbation")
-    ref = evolve_nlw(st, 2.0, config=EvolveConfig(stride_time=2.0))
+    ref = evolve_nlw(st, 2.0, stride_time=2.0)
     uref = ref.snapshots[-1].u
     for n in (750, 1500, 3000):
         g = make_grid(30.0, n)
         st = RadialState(g, u0f(g.nodes), np.zeros(n), "perturbation")
-        tr = evolve_nlw(st, 2.0, config=EvolveConfig(stride_time=2.0))
+        tr = evolve_nlw(st, 2.0, stride_time=2.0)
         step = ref_n // n
         errs.append(np.abs(tr.snapshots[-1].u - uref[step - 1::step]).max())
         hs.append(g.h)
@@ -576,8 +576,8 @@ def test_find_stable_h_midpoint_without_estimate(monkeypatch):
     assert abs(evolve_nlw(first, 20.0).n_plus_series[1]) > 2e-3
     seen = []
 
-    def spy(initial, t_final, config):
-        seen.append((initial.u, _classify(initial, t_final, config)))
+    def spy(initial, t_final):
+        seen.append((initial.u, _classify(initial, t_final)))
         return seen[-1][1]
 
     monkeypatch.setattr(dynamics, "_classify", spy)
@@ -605,7 +605,7 @@ def test_early_stopped_outcome_matches_evolve_nlw(dyn_grid, mode40):
     outcomes = set()
     for hc in candidates:
         st = RadialState(dyn_grid, f1 + hc * mode40.g, f2, "perturbation")
-        out = _classify(st, 25.0, EvolveConfig())[0]
+        out = _classify(st, 25.0)[0]
         assert out == evolve_nlw(st, 25.0).outcome
         outcomes.add(out)
     assert outcomes == {"blowup", "dispersal"}
@@ -619,7 +619,7 @@ def test_classify_full_frame_matches_perturbation_frame(dyn_grid, mode40):
                                dyn_grid, mode40)
     state = RadialState(dyn_grid, f1 - 3e-6 * mode40.g, f2, "perturbation")
     full = state.to_full(static_background(dyn_grid))
-    out, offset = _classify(full, 35.0, EvolveConfig())
-    out_p, offset_p = _classify(state, 35.0, EvolveConfig())
+    out, offset = _classify(full, 35.0)
+    out_p, offset_p = _classify(state, 35.0)
     assert out == evolve_nlw(full, 35.0).outcome == out_p
     assert offset == pytest.approx(offset_p, rel=1e-7)

@@ -198,7 +198,7 @@ def test_sigma_star_without_estimates_bisects(monkeypatch):
 def test_sigma_star_stable_under_domain_doubling():
     a = sigma_star((0.88, 0.95), 5e-4, SigmaStarConfig(n=6000))
     b = sigma_star((0.88, 0.95), 5e-4,
-                   SigmaStarConfig(r_max_over_alpha=80.0, n=12000))
+                   SigmaStarConfig(r_max=80.0, n=12000))
     assert abs(a - b) <= 2e-3
 
 

@@ -8,8 +8,10 @@ terms (dim-1)/r of rk4_friction) is made once, by numpy, and the loops
 iterate over Python float lists.  Their plain indexed forms live in the
 tests as references that the kernels match bit for bit.  The time stepper
 is one three-level update with dt^2 folded into its coefficients, in
-vectorized numpy working in preallocated buffers, and tridiagonal solves go
-to LAPACK ``gtsv`` through scipy.  The benchmark ``perfbench/run.py`` times each of them with
+vectorized numpy working in preallocated buffers: each level is one (2, n)
+block of w and its neighbour sums, so a step makes 12 numpy calls (10 about
+a zero background).  Tridiagonal solves go to LAPACK ``gtsv`` through
+scipy.  The benchmark ``perfbench/run.py`` times each of them with
 ``--trace 1``.
 """
 
@@ -197,18 +199,28 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     run:
         w+ = (2 - 2 c2) w - w- + c2 (w_right + w_left)
              + (dt^2 / r^4) ((w + bg)^5 - bg^5),
-    13 numpy calls into the run's preallocated buffers.  A background that
-    is zero everywhere (bg.any() is False, found once per run) skips the
-    two calls that add and cancel it, leaving 11.  Where w, w- and both
-    neighbours are 0 (the perturbation has not arrived) the quintic term
-    is exactly 0 and the node steps to exactly 0.
+    12 numpy calls into the run's preallocated buffers.  Each of the three
+    rotating levels is one contiguous (2, n) block: row 1 holds w, and row
+    0 the neighbour sums w_right + w_left of the first n - 1 nodes, its
+    last slot a permanent 0 that is the phantom w(0) to the left of node
+    0.  So the sums are one add, and c2 (w_right + w_left) and
+    (2 - 2 c2) w are one multiply of the whole block by a constant (2, n)
+    coefficient block, written into the next level's block (the 0 and 1
+    of its last column keep the phantom 0 and copy the frozen last node).
+    A background that is zero everywhere (bg.any() is False, found once
+    per run) skips the two calls that add and cancel it, leaving 10.
+    Where w, w- and both neighbours are 0 (the perturbation has not
+    arrived) the quintic term is exactly 0 and the node steps to exactly
+    0.
 
     The amplitude test reads the square tot^2 of the field that the
     quintic term needs anyway: max tot^2 <= (cap r_1)^2 (1 - 1e-12), with
     r_1 the smallest radius, bounds |psi| = |tot|/r by the cap at every
     node with a margin for the rounding of both products, and an inf or
-    nan fails it.  Only when it fails is the exact test run: max |psi| <=
-    cap, then the reason (cap or non-finite) if that fails too.
+    nan fails it (the entry tested is the one at argmax, which is the first
+    nan if there is one; argmax is faster than max).  Only when it fails is
+    the exact test run: max |psi| <= cap, then the reason (cap or
+    non-finite) if that fails too.
     """
     n = w0.shape[0]
     dt2 = dt * dt
@@ -226,9 +238,16 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     # would not be a normal float and could pass an underflowed tot^2
     bound = (min(edge * edge, np.finfo(float).max) * (1.0 - 1e-12)
              if edge >= 1e-150 else -1.0)
-    tot, nbr, nl, psi = (np.empty(n - 1) for _ in range(4))
-    nbr_t = nbr[1:]
-    sup = np.maximum.reduce
+    tot, nl, psi = (np.empty(n - 1) for _ in range(3))
+    # the coefficient block: c2 on the neighbour sums and 2 - 2 c2 on w, and
+    # in the last column 0 (the phantom stays 0) and 1 (the frozen last node)
+    coef = np.empty((2, n))
+    coef[0] = c2
+    coef[1] = diag
+    coef[:, -1] = 0.0, 1.0
+    add, sub, mul = np.add, np.subtract, np.multiply
+    peak = nl.argmax  # the index of the largest entry, or of the first nan
+    n_snap = w_snap.shape[0]
 
     def decided(j, w, v):
         x = 0.5 * (np.dot(w, weights) + np.dot(v, weights) / k) - shift
@@ -238,59 +257,69 @@ def leapfrog(w0, v0, inv_r, inv_r4, w_bg, inv_h2, dt,
     if decided(0, w0, v0):
         return 1, 0, 3
 
-    # three rotating buffers, each with its [:-1], [2:] and [:-2] views; the
-    # frozen last node is written into all of them once
-    a, b, c = ((y, y[:-1], y[2:], y[:-2])
-               for y in (np.empty(n), w0.copy(), np.empty(n)))
-    a[0][-1] = c[0][-1] = w0[-1]
+    def level():
+        """A zeroed (2, n) block and its views: w, w[:-1], the neighbour
+        sums, and the right and left neighbours that they add (w[1:], and
+        the phantom 0 followed by w[:-2])."""
+        y = np.zeros((2, n))
+        flat = y.reshape(2 * n)
+        return y, y[1], y[1, :-1], y[0, :-1], flat[n + 1:], flat[n - 1:-2]
 
-    # step 0 computes the force at w0 for the Taylor start
+    # three rotating levels; the Taylor start steps w0 with the force at w0
+    a, b, c = level(), level(), level()
+    blk, bw, bh, bs, br, bl = b
+    bw[:] = w0
+    u = add(bh, bg, tot) if has_bg else bh
+    mul(u, u, nl)
+    mul(nl, nl, nl)
+    mul(nl, u, nl)
+    if has_bg:
+        sub(nl, bg5, nl)
+    mul(nl, force, nl)
+    add(br, bl, bs)
+    mul(blk, coef, c[0])
+    c[2][:] = bh + dt * v0[:-1] + 0.5 * (c[3] - 2.0 * c2 * bh + nl)
+    a, b, c = b, c, a
+
     snap = 1
     pend = -1
-    step = 0
+    step = 1
     while True:
-        bf, bh, br, bl = b
-        u = np.add(bh, bg, tot) if has_bg else bh
-        np.multiply(u, u, nl)
-        if step:
-            if not sup(nl) <= bound:
-                np.multiply(u, ir, psi)
-                np.abs(psi, psi)
-                if not sup(psi) <= fast_cap:
-                    if not np.all(np.isfinite(bh)):
-                        return snap, step, 2
-                    if np.any(psi > psi_cap):
-                        return snap, step, 1
+        blk, bw, bh, bs, br, bl = b
+        u = add(bh, bg, tot) if has_bg else bh
+        mul(u, u, nl)
+        if not nl[peak()] <= bound:
+            mul(u, ir, psi)
+            np.abs(psi, psi)
+            if not psi.max() <= fast_cap:
+                if not np.all(np.isfinite(bh)):
+                    return snap, step, 2
+                if np.any(psi > psi_cap):
+                    return snap, step, 1
 
-            if step % stride == 0 and snap < w_snap.shape[0]:
-                w_snap[snap] = bf
-                pend = snap
-                snap += 1
+        if step % stride == 0 and snap < n_snap:
+            w_snap[snap] = bw
+            pend = snap
+            snap += 1
 
-            if step >= n_steps and pend < 0:
-                return snap, n_steps, 0
+        if step >= n_steps and pend < 0:
+            return snap, n_steps, 0
 
-        np.multiply(nl, nl, nl)
-        np.multiply(nl, u, nl)
+        mul(nl, nl, nl)
+        mul(nl, u, nl)
         if has_bg:
-            np.subtract(nl, bg5, nl)
-        np.multiply(nl, force, nl)
-        np.add(br, bl, nbr_t)
-        nbr[0] = bf[1] + 0.0  # the phantom w(0) = 0, added as every other neighbour
-        np.multiply(nbr, c2, nbr)
-
-        ch = c[1]
-        if step:
-            np.multiply(bh, diag, ch)
-            np.subtract(ch, a[1], ch)
-            np.add(ch, nbr, ch)
-            np.add(ch, nl, ch)
-        else:
-            ch[:] = bh + dt * v0[:-1] + 0.5 * (nbr - 2.0 * c2 * bh + nl)
+            sub(nl, bg5, nl)
+        mul(nl, force, nl)
+        add(br, bl, bs)
+        cblk, cw, ch, cs = c[:4]
+        mul(blk, coef, cblk)
+        sub(ch, a[2], ch)
+        add(ch, cs, ch)
+        add(ch, nl, ch)
 
         if pend >= 0:
             v = v_snap[pend]
-            np.subtract(c[0], a[0], v)
+            sub(cw, a[1], v)
             np.divide(v, 2.0 * dt, v)
             if decided(pend, w_snap[pend], v):
                 return snap, step, 3

@@ -215,9 +215,13 @@ class _Run:
 
 
 def _time_grid(grid: RadialGrid, t_final: float, stride_time: float):
-    """(dt, n_steps, stride) of a run, with dt = _CFL h."""
+    """(dt, n_steps, stride) of a run, with dt = _CFL h; a stride_time
+    below half a step records every step."""
     if not 0.0 < t_final < math.inf:
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
+    if not 0.0 < stride_time < math.inf:
+        raise ValueError(
+            f"stride_time must be positive and finite, got {stride_time}")
     dt = _CFL * grid.h
     n_steps = max(1, int(round(t_final / dt)))
     stride = max(1, int(round(stride_time / dt)))
@@ -503,18 +507,30 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     gain digits until the outcome is set by rounding noise in the e^{kt}
     amplification, and midpoints finish from there.
 
-    tol = 0 means search to float64 resolution (the ends adjacent floats),
-    which is also the physical limit: the bracket width is amplified by
-    e^{kt}, so every run eventually exits the soliton neighborhood around
-    t ~ log(1/width)/k.  A candidate that ends undecided (no exit within
-    the horizon) is as near as the horizon resolves and ends the search as
-    h_star; otherwise h_star is the midpoint of the final bracket.
+    tol = 0 means search to float64 resolution (the ends adjacent floats).
+    That is finer than the runs resolve: below about 4e-18 absolute the
+    outcome is rounding noise of the e^{kt} amplification, and tol = 0
+    goes on to adjacent floats by definition.  The bracket width is
+    amplified by e^{kt}, so every run eventually exits the soliton
+    neighborhood around t ~ log(1/width)/k.  A candidate that ends
+    undecided (no exit within the horizon) is as near as the horizon
+    resolves and ends the search as h_star; otherwise h_star is the
+    midpoint of the final bracket.
+
+    Each bracket end keeps its initial u and its (outcome, offset).  A
+    candidate whose u is bit-identical to an end's would repeat that end's
+    run bit for bit, so it takes the end's answer and steps no run.  The
+    rounding of f1 + h g is monotone in h at every node, and every earlier
+    candidate lies outside the bracket, so a candidate that repeats any
+    earlier state repeats an end's: the two comparisons find every repeat.
 
     Only the final centrist run is stepped to the horizon and keeps its
     observables.  Its decay fit is taken on [5, 25] clipped to the span
     where the unstable-mode content is still small against the dispersive
     sup norm; the window used is reported in the result, and so are the
-    runs (n_runs) and the candidates that were not midpoints (n_estimate_runs).
+    classifications (n_runs: both bracket ends, the candidates, whether or
+    not they stepped a run, and the final run) and the candidates that were
+    not midpoints (n_estimate_runs).
     A bracket_width that is not positive and finite, a tol that is nan,
     negative or infinite, and a horizon too short to give the decay fit 3
     snapshots in [5, 7], are rejected with ValueError before the first run.
@@ -538,8 +554,10 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     def state(hc):
         return RadialState(grid, f1p + hc * mode.g, f2p, "perturbation")
 
-    out_lo = _classify(state(-bracket_width), t_horizon)[0]
-    out_hi = _classify(state(bracket_width), t_horizon)[0]
+    # each bracket end's initial u and the (outcome, offset) of its run
+    ends = [(st.u, _classify(st, t_horizon))
+            for st in (state(-bracket_width), state(bracket_width))]
+    out_lo, out_hi = (got[0] for _, got in ends)
     if out_lo == out_hi or "undecided" in (out_lo, out_hi):
         raise BracketError(
             f"bracket ends gave {out_lo!r}/{out_hi!r}; widen it")
@@ -547,8 +565,15 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
 
     def side(hc):
         candidates.append(hc)
-        out, offset = _classify(state(hc), t_horizon)
-        return (None if out == "undecided" else out != out_lo), offset
+        st = state(hc)
+        # a u that rounds to an end's repeats that end's run bit for bit
+        same = [got for u, got in ends if np.array_equal(st.u, u)]
+        out, offset = same[0] if same else _classify(st, t_horizon)
+        if out == "undecided":
+            return None, offset
+        above = out != out_lo
+        ends[above] = st.u, (out, offset)
+        return above, offset
 
     h_star, (lo, hi), n_estimates = bracketed_root(
         side, -bracket_width, bracket_width, tol)
@@ -561,7 +586,7 @@ def find_stable_h(f1: np.ndarray, f2: np.ndarray, grid: RadialGrid,
     return StableManifoldResult(
         h_star=h_star, bracket_final=(lo, hi),
         below_outcome=out_lo, above_outcome=out_hi,
-        # the runs: both bracket ends, the candidates and the final run
+        # both bracket ends, the candidates and the final run
         decay_fit=decay, decay_window=win, n_runs=len(candidates) + 3,
         n_estimate_runs=n_estimates, trajectory=traj)
 

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from solitonlab.spectral import negative_eigenpairs
 from oracles import (dense_propagate, dense_sine_split,
                      full_run_stable_h_search, mode_decompose, nonlinearity_N,
                      quad_oracle)
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -476,6 +480,19 @@ def test_evolve_nlw_rejects_nonpositive_t_final(dyn_grid):
             evolve_nlw(state, t_final)
 
 
+def test_evolve_nlw_rejects_bad_stride_time(dyn_grid):
+    state = RadialState(dyn_grid, np.zeros(dyn_grid.n), np.zeros(dyn_grid.n),
+                        "perturbation")
+    for stride_time in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="stride_time"):
+            evolve_nlw(state, 1.0, stride_time)
+    # a positive stride below half a step records every step
+    g = make_grid(20.0, 400)
+    traj = evolve_nlw(RadialState(g, np.zeros(g.n), np.zeros(g.n),
+                                  "perturbation"), 1.0, 1e-300)
+    assert len(traj.times) == round(1.0 / traj.dt) + 1 == 23
+
+
 def test_find_stable_h_zero_data_gives_zero(dyn_grid):
     res = find_stable_h(np.zeros(dyn_grid.n), np.zeros(dyn_grid.n), dyn_grid,
                         bracket_width=0.02, tol=1e-9, t_horizon=25.0)
@@ -542,6 +559,62 @@ def test_find_stable_h_matches_full_run_bisection():
     assert (below_b, above_b) == (below, above)
     assert abs(res.h_star - h_bisect) <= 1e-10 * abs(h_bisect)
     assert 2 * res.n_runs <= runs_bisect
+
+
+def test_find_stable_h_classifies_each_initial_state_once(dyn_grid,
+                                                         monkeypatch):
+    # late in a tol = 0 search some candidates round to a bracket end's u;
+    # they take that end's answer, so no two classification runs step the
+    # same state, and the search is still the full-run twin's
+    f1 = np.random.default_rng(1).uniform(0.019, 0.021) \
+        * np.exp(-dyn_grid.nodes ** 2)
+    f2 = np.zeros(dyn_grid.n)
+    seen = []
+
+    def spy(initial, t_final):
+        seen.append(initial.u)
+        return _classify(initial, t_final)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_classify", spy)
+        res = find_stable_h(f1, f2, dyn_grid, bracket_width=0.05, tol=0.0,
+                            t_horizon=35.0)
+    twin = full_run_stable_h_search(f1, f2, dyn_grid, 0.05, 35.0)
+    assert (res.h_star, res.bracket_final, res.n_runs,
+            res.n_estimate_runs) == (twin[0], twin[1], twin[4], twin[5])
+    mode = unstable_mode(dyn_grid)
+    f1p = project_to_sigma0(f1, f2, dyn_grid, mode)[0]
+    distinct = []
+    for hc, _ in twin[6]:
+        u = f1p + hc * mode.g
+        if not any(np.array_equal(u, d) for d in distinct):
+            distinct.append(u)
+    for i, u in enumerate(seen):
+        assert not any(np.array_equal(u, s) for s in seen[:i])
+    assert len(seen) == len(distinct) < len(twin[6]) == res.n_runs - 1
+
+
+def test_find_stable_h_reproduces_pinned_records(dyn_grid):
+    # the manifold workload's searches at seeds 1201-1205, pinned as float.hex
+    # in BENCH_manifold.json (n = 2000, eps drawn as the workload draws it,
+    # bracket 0.05, tol 0, horizon 35); a change that moves them on purpose
+    # updates the pins with it
+    pins = json.loads((REPO / "BENCH_manifold.json").read_text())[
+        "pinned_find_stable_h"]["results_nplus"]
+    for seed in range(1201, 1206):
+        eps = float(np.random.default_rng(seed).uniform(0.019, 0.021))
+        res = find_stable_h(eps * np.exp(-dyn_grid.nodes ** 2),
+                            np.zeros(dyn_grid.n), dyn_grid, bracket_width=0.05,
+                            tol=0.0, t_horizon=35.0)
+        got = {"h_star": res.h_star.hex(),
+               "bracket_final": [x.hex() for x in res.bracket_final],
+               "below_outcome": res.below_outcome,
+               "above_outcome": res.above_outcome,
+               "decay_fit": res.decay_fit.hex(),
+               "decay_window": [float(x).hex() for x in res.decay_window],
+               "n_runs": res.n_runs, "n_estimate_runs": res.n_estimate_runs}
+        want = pins[f"manifold-seed{seed}"]
+        assert got == {key: want[key] for key in got}, seed
 
 
 def test_find_stable_h_undecided_candidate_ends_search():

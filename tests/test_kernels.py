@@ -225,6 +225,32 @@ def test_leapfrog_parity_early_exit(mode):
     assert n[0] == n_full[0]
 
 
+@pytest.mark.parametrize("mode", [0, 1])
+def test_leapfrog_long_run_matches_reference(mode):
+    # 2100 steps and 151 snapshots, so the level blocks rotate 700 times
+    # over the phantom slot and the snapshot writes; a negative bump keeps
+    # the run below the cap to the horizon
+    stride = 14
+    case = _leapfrog_case(mode, n=400, n_steps=2100, stride=stride)
+    g, w0 = case[:2]
+    w0 -= 0.02 * g.nodes * np.exp(-(g.nodes - 3) ** 2)
+    new = _run_leapfrog(K.leapfrog, case)
+    ref = _run_leapfrog(_reference(mode), case)
+    assert new[0] == ref[0] == (151, 2100, 0)
+    for a, b in zip(new[1:], ref[1:]):
+        assert np.array_equal(a, b)
+    # a level halfway between the last record of |n_plus| and the largest
+    # value before it stops the run at that record, late in the run
+    n_plus = np.abs(ref[3])
+    j = max(i for i in range(1, len(n_plus)) if n_plus[i] > n_plus[:i].max())
+    assert 1000 <= j * stride < 2100
+    level = 0.5 * (n_plus[j] + n_plus[:j].max())
+    res, w, v, n = _run_leapfrog(K.leapfrog, case, exit_n_plus=level)
+    assert res == (j + 1, j * stride, 3)
+    for a, b in zip((w, v, n), ref[1:]):
+        assert np.array_equal(a[:j + 1], b[:j + 1])
+
+
 @pytest.mark.parametrize("mode, amp, psi_cap", [
     (0, 0.0, 1e3),      # runs to the horizon
     (1, 0.0, 1e3),
@@ -273,6 +299,23 @@ def test_leapfrog_cap_fallback_matches_reference(mode, cap):
     assert new[0] == ref[0] == (2, n_steps, 0)
     for a, b in zip(new[1:], ref[1:]):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("mode", [0, 1])
+def test_leapfrog_nan_at_any_node_stops_the_run(mode):
+    # a nan among finite values fails the fast amplitude test wherever it
+    # sits, so the run stops at step 1 as non-finite, as the reference does
+    g, w0, *rest = _leapfrog_case(mode, n=400, n_steps=50, stride=5)
+    for j in (0, 1, 7, 8, 200, g.n - 2, g.n - 1):
+        w = w0.copy()
+        w[j] = np.nan
+        case = (g, w, *rest)
+        with np.errstate(invalid="ignore"):
+            new = _run_leapfrog(K.leapfrog, case)
+            ref = _run_leapfrog(_reference(mode), case)
+        assert new[0] == ref[0] == (1, 1, 2)
+        for a, b in zip(new[1:], ref[1:]):
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_leapfrog_blowup_detection():

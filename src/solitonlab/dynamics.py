@@ -18,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,27 +161,67 @@ class Trajectory:
     background: np.ndarray = field(default=None, repr=False)
 
 
-def discrete_energy(grid: RadialGrid, w: np.ndarray, wdot: np.ndarray) -> float:
-    """Energy of the reduced field: 4 pi int (wdot^2 + (w_r - w/r)^2)/2 - w^6/(6 r^4)."""
+def discrete_energy(grid: RadialGrid, w: np.ndarray, wdot: np.ndarray):
+    """Energy of the reduced field: 4 pi int (wdot^2 + (w_r - w/r)^2)/2 - w^6/(6 r^4).
+
+    w and wdot of shape (n,) give a float; (m, n) blocks give the m row
+    energies, each row integrated by its own dot with the weights.  The
+    work uses two scratch arrays of the size of w.
+    """
     r = grid.nodes
     h = grid.h
-    ext = np.concatenate(([0.0], w))
-    w_r = np.empty(grid.n)
-    w_r[:-1] = (ext[2:] - ext[:-2]) / (2.0 * h)
-    w_r[-1] = (w[-1] - w[-2]) / h
-    dens = 0.5 * (wdot ** 2 + (w_r - w / r) ** 2) - w ** 6 / (6.0 * r ** 4)
-    return 4.0 * np.pi * integrate(grid, dens)
+    w_r = np.empty(w.shape)
+    # centred differences with the phantom w(0) = 0, one-sided at the last node
+    w_r[..., 0] = w[..., 1]
+    np.subtract(w[..., 2:], w[..., :-2], out=w_r[..., 1:-1])
+    w_r[..., :-1] /= 2.0 * h
+    np.subtract(w[..., -1], w[..., -2], out=w_r[..., -1])
+    w_r[..., -1] /= h
+    tmp = np.divide(w, r)
+    dens = np.subtract(w_r, tmp, out=w_r)
+    np.square(dens, out=dens)
+    dens += np.square(wdot, out=tmp)
+    dens *= 0.5
+    tmp = np.power(w, 6, out=tmp)
+    tmp /= 6.0 * r ** 4
+    dens -= tmp
+    e = 4.0 * np.pi * np.array([np.dot(grid.weights, row)
+                                for row in dens.reshape(-1, grid.n)])
+    return float(e[0]) if w.ndim == 1 else e
+
+
+# the observables pass of a run reads its record in chunks of rows of about
+# this many bytes per scratch array, so that a chunk stays in cache
+_CHUNK_BYTES = 1 << 17
+
+
+class _Observables(NamedTuple):
+    """What evolve_nlw and _outcome read of a run, from one pass over its
+    record: sup |psi - phi| over all nodes and over r <= 1 (nan where no
+    node lies in r <= 1), the local energy inside r <= 5 of the
+    perturbation, the energy, and psi and psi_t (the record's own rows,
+    converted in place)."""
+
+    sup_norms: np.ndarray
+    core_sup: np.ndarray
+    local_energy: np.ndarray
+    energy: np.ndarray
+    psi: np.ndarray
+    psi_t: np.ndarray
 
 
 @dataclass(frozen=True)
 class _Run:
     """Snapshots of one leapfrog run and how it stopped (see _step).
 
-    W and V hold the stepped field w - bg and its velocity at the snapshots
-    written, and n_plus the unstable-mode amplitude of the perturbation
-    u - phi that the stepper recorded at each of them; reason is the
-    stepper's (0 horizon, 1 cap, 2 non-finite, 3 decided).  The sup norms
-    are computed on first use with one scratch array of the size of W.
+    W and V are the two halves of the run's one (2, n_snap, n) record
+    block, cut to the snapshots written: the stepped field w - bg and its
+    velocity.  n_plus is the unstable-mode amplitude of the perturbation
+    u - phi that the stepper recorded at each of them, and reason is the
+    stepper's (0 horizon, 1 cap, 2 non-finite, 3 decided).  The
+    observables are computed on first use (see observables); that pass
+    turns W and V into psi and psi_t, so nothing reads them as the stepped
+    field after it.
     """
 
     grid: RadialGrid
@@ -199,19 +240,41 @@ class _Run:
     def times(self):
         return np.arange(len(self.W)) * self.stride * self.dt
 
-    def sup_deviation(self, m=None):
-        """max |psi - phi| over the first m nodes at every snapshot."""
-        W, r = self.W[:, :m], self.grid.nodes[:m]
-        if self.bg is self.w_bg:
-            s = np.divide(W, r)
-        else:
-            s = np.subtract(W, self.w_bg[:m])
-            np.divide(s, r, out=s)
-        return np.abs(s, out=s).max(axis=1)
-
     @cached_property
-    def sup_norms(self):
-        return self.sup_deviation()
+    def observables(self) -> _Observables:
+        """One pass over the record, in chunks of rows with about
+        _CHUNK_BYTES per scratch array (three of them, and the two of
+        discrete_energy).  Each chunk gets its sup norms, local energy and
+        energy, then becomes psi = (w + bg)/r and psi_t = v/r in place."""
+        grid, W, V, bg = self.grid, self.W, self.V, self.bg
+        r, weights = grid.nodes, grid.weights
+        rows = max(1, _CHUNK_BYTES // (8 * grid.n))
+        scratch = np.empty((3, min(rows, len(W)), grid.n))
+        half_loc = 0.5 * (r <= 5.0).astype(float)
+        # the nodes ascend: r <= 1 is a prefix of them
+        core = int(np.searchsorted(r, 1.0, side="right"))
+        sup, local, energy = np.empty((3, len(W)))
+        core_sup = np.full(len(W), np.nan)
+        for i in range(0, len(W), rows):
+            w, v = W[i:i + rows], V[i:i + rows]
+            d, q, t = scratch[:, :len(w)]
+            # the perturbation u - phi, times r
+            pert = w if bg is self.w_bg else np.subtract(w, self.w_bg, out=d)
+            np.square(pert, out=q)
+            q += np.square(v, out=t)
+            q *= half_loc
+            local[i:i + rows] = [np.dot(weights, row) for row in q]
+            dev = np.divide(pert, r, out=d)
+            np.abs(dev, out=dev)
+            dev.max(axis=1, out=sup[i:i + rows])
+            if core:
+                dev[:, :core].max(axis=1, out=core_sup[i:i + rows])
+            np.add(w, bg, out=w)
+            energy[i:i + rows] = discrete_energy(grid, w, v)
+            np.divide(w, r, out=w)
+            np.divide(v, r, out=v)
+        local *= 4.0 * np.pi
+        return _Observables(sup, core_sup, local, energy, W, V)
 
 
 def _time_grid(grid: RadialGrid, t_final: float, stride_time: float):
@@ -255,8 +318,7 @@ def _step(initial: RadialState, t_final: float, stride_time: float,
 
     n_snap = n_steps // stride + 1
 
-    w_snap = np.zeros((n_snap, n))
-    v_snap = np.zeros((n_snap, n))
+    w_snap, v_snap = np.zeros((2, n_snap, n))
     w_snap[0] = w0
     v_snap[0] = v0
     n_plus = np.zeros(n_snap)
@@ -287,20 +349,18 @@ def _outcome(run: _Run):
     j = _exit_index(run)
     if j < len(n_plus):
         return ("blowup" if n_plus[j] > 0 else "dispersal"), math.nan, run.times[j]
-    r = run.grid.nodes
-    init_sup = run.sup_norms[0]
+    obs = run.observables
+    init_sup = obs.sup_norms[0]
     if init_sup > 0.0:
-        # the nodes ascend: r <= 1 is a prefix of them
-        core = int(np.searchsorted(r, 1.0, side="right"))
-        settled = run.sup_deviation(core) < 0.1 * init_sup
+        settled = obs.core_sup < 0.1 * init_sup
         need = max(1, int(round(5.0 / (run.stride * run.dt))))
         streak = 0
         for j, s in enumerate(settled):
             streak = streak + 1 if s else 0
             if streak >= need and abs(n_plus[j]) < _DEFAULTS.exit_n_plus:
                 return "dispersal", math.nan, run.times[j]
-    psi0 = (run.W[0] + run.bg) / r
-    if all(np.abs((w + run.bg) / r - psi0).max() <= 0.01 for w in run.W):
+    psi = obs.psi
+    if all(np.abs(p - psi[0]).max() <= 0.01 for p in psi):
         return "stationary", math.nan, math.nan
     return "undecided", math.nan, math.nan
 
@@ -350,33 +410,19 @@ def evolve_nlw(initial: RadialState, t_final: float,
     every stride_time, then classifies the outcome (stationary /
     dispersal / blowup / undecided; see _outcome).
 
-    A run keeps one record of u and one of u_t, a row per snapshot: the
-    snapshots are row views of that record (full frame).  The observables
-    are computed before it is converted in place, with at most one scratch
-    array of its size.
+    A run keeps one record block of u and u_t, a row per snapshot: the
+    snapshots are row views of it (full frame).  The observables come from
+    one pass over it in chunks of about _CHUNK_BYTES per scratch array,
+    which converts each chunk in place once its observables are taken.
     """
     run = _step(initial, t_final, stride_time)
-    grid = initial.grid
-    r = grid.nodes
-    ip = 4.0 * np.pi
-    loc = (r <= 5.0).astype(float)
-    pert = run.W if run.bg is run.w_bg else (w - run.w_bg for w in run.W)
-    local_energy = np.array([
-        ip * integrate(grid, 0.5 * loc * (vv ** 2 + ww ** 2))
-        for ww, vv in zip(pert, run.V)])
-    energy = np.array([discrete_energy(grid, ww + run.bg, vv)
-                       for ww, vv in zip(run.W, run.V)])
+    obs = run.observables
     outcome, blowup_time, exit_time = _outcome(run)
-    sup_norms, n_plus = run.sup_norms, run.n_plus
-    # nothing reads W or V as the stepped field after this: they become
-    # psi = (w + bg)/r and psi_t = v/r in place
-    psi = np.add(run.W, run.bg, out=run.W)
-    np.divide(psi, r, out=psi)
-    psi_t = np.divide(run.V, r, out=run.V)
-    snaps = [RadialState(grid, u, ut, "full") for u, ut in zip(psi, psi_t)]
+    snaps = [RadialState(initial.grid, u, ut, "full")
+             for u, ut in zip(obs.psi, obs.psi_t)]
     return Trajectory(times=run.times, snapshots=snaps,
-                      sup_norms=sup_norms, local_energy=local_energy,
-                      n_plus_series=n_plus, energy_series=energy,
+                      sup_norms=obs.sup_norms, local_energy=obs.local_energy,
+                      n_plus_series=run.n_plus, energy_series=obs.energy,
                       outcome=outcome, blowup_time=blowup_time,
                       exit_time=exit_time, dt=run.dt, background=run.w_bg)
 
@@ -390,14 +436,23 @@ def _voc_weights(k: float, dt: float):
 
 
 def _mode_series(times, F_plus, k):
-    """times and F_plus as float arrays; ValueError for k outside (0, inf)
-    or fewer than two samples."""
+    """times and F_plus as float arrays; ValueError for k outside (0, inf),
+    fewer than two samples, times that are not 1-d, finite and strictly
+    increasing, or an F_plus not of their shape."""
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be positive and finite, got {k}")
     times = np.asarray(times, dtype=float)
+    F_plus = np.asarray(F_plus, dtype=float)
     if times.size < 2:
         raise ValueError(f"need at least two time samples, got {times.size}")
-    return times, np.asarray(F_plus, dtype=float)
+    if times.ndim != 1 or not np.isfinite(times).all() \
+            or not (np.diff(times) > 0.0).all():
+        raise ValueError("times must be a 1-d array of finite, strictly "
+                         "increasing values")
+    if F_plus.shape != times.shape:
+        raise ValueError(f"F_plus has shape {F_plus.shape}, times have "
+                         f"shape {times.shape}")
+    return times, F_plus
 
 
 def stability_initial_condition(times: np.ndarray, F_plus: np.ndarray,
@@ -627,7 +682,10 @@ class _WaveFlow:
     three functions are entire in lam and share one three-term Chebyshev
     recurrence of O(n) tridiagonal matvecs (Tal-Ezer & Kosloff, J. Chem.
     Phys. 81 (1984) 3967; Hochbruck & Lubich, SIAM J. Numer. Anal. 34
-    (1997) 1911); the expansion of each distinct dt is computed once.
+    (1997) 1911); the expansion of each distinct dt is computed once.  The
+    matvec reads a block as one flat 2n vector, with the diagonal stacked
+    twice and a 0 in the off-diagonal at the seam of the two rows, and
+    writes its products into buffers made once per flow.
     """
 
     def __init__(self, op):
@@ -643,21 +701,30 @@ class _WaveFlow:
         gersh[:-1] += np.abs(e)
         gersh[1:] += np.abs(e)
         self.hi = max(float(gersh.max()), float(np.abs(lam).max(initial=0.0)))
-        # 2B for B = 2A/hi - 1, the operator whose spectrum is in [-1, 1]
-        self._d2 = 4.0 * d / self.hi - 2.0
-        self._e2 = 4.0 * e / self.hi
+        # 2B for B = 2A/hi - 1, the operator whose spectrum is in [-1, 1],
+        # on the flat view of a (2, n) block
+        e2 = 4.0 * e / self.hi
+        self._d2 = np.tile(4.0 * d / self.hi - 2.0, 2)
+        self._e2 = np.concatenate((e2, [0.0], e2))
         self._c2 = -8.0 * lam / self.hi
+        self._off = np.empty(2 * d.size - 1)
+        self._term = np.empty((2, d.size))
         self._coeffs = {}
 
     def _twice_b(self, y):
-        out = self._d2 * y
-        out[:, :-1] += self._e2 * y[:, 1:]
-        out[:, 1:] += self._e2 * y[:, :-1]
-        # the deflation term, one broadcast product per negative eigenpair
-        # (none for the free operator)
+        """2B y for a (2, n) block y, every product on same-shape operands
+        (a broadcast of an (n,) row over the block runs at half the speed)."""
+        flat = y.reshape(-1)
+        out = self._d2 * flat
+        out[:-1] += np.multiply(self._e2, flat[1:], out=self._off)
+        out[1:] += np.multiply(self._e2, flat[:-1], out=self._off)
+        out = out.reshape(y.shape)
+        # the deflation term, one product per negative eigenpair (none for
+        # the free operator)
         coef = (y @ self.g.T) * self._c2
+        term = self._term
         for j, g in enumerate(self.g):
-            out += coef[:, j, None] * g
+            out += np.multiply(coef[:, j, None], g, out=term)
         return out
 
     def _coefficients(self, dt):

@@ -11,7 +11,10 @@ to match shot for shot.
 The dense-matrix oracles (operator matrix, constrained infimum mu0, the
 symmetrized quadratic form, the eigendecomposition propagators) are O(n^3)
 and meant for small n.  The stable-manifold search twin classifies every
-candidate by a full evolve_nlw run instead of an early-stopped one.
+candidate by a full evolve_nlw run instead of an early-stopped one.  The
+per-row trajectory observables and the broadcast Chebyshev matvec keep the
+plain forms that evolve_nlw's chunked pass and the wave flow's flat-layout
+product must match bit for bit.
 
 The paper's formulas that no experiment computes live here too, each
 checked against the package by the tests: node counting by the sign flips
@@ -28,7 +31,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 
-from solitonlab.dynamics import (EvolveConfig, RadialState, evolve_nlw,
+from solitonlab.dynamics import (EvolveConfig, RadialState, _step, evolve_nlw,
                                  project_to_sigma0, unstable_mode)
 from solitonlab.errors import NumericsError, SingularSolveError
 from solitonlab.radial import (ChannelOperator, RadialGrid, fit_loglog_slope,
@@ -379,6 +382,89 @@ def dense_sine_split(op, dphi_da, f, times):
         coeffs[i] = c
         rems[i] = np.abs(u[window] - c * w_res[window]).max()
     return {"times": times, "rank_one_coeff": coeffs, "remainder_sup": rems}
+
+
+def wave_flow_twice_b_reference(flow, y):
+    """solitonlab.dynamics._WaveFlow._twice_b on the (2, n) block as two
+    rows: the (n,) diagonal and off-diagonal broadcast over them, and one
+    allocated deflation product per negative eigenpair.  The flat-layout
+    product must match it bit for bit."""
+    n = y.shape[1]
+    d2, e2 = flow._d2[:n], flow._e2[:n - 1]
+    out = d2 * y
+    out[:, :-1] += e2 * y[:, 1:]
+    out[:, 1:] += e2 * y[:, :-1]
+    coef = (y @ flow.g.T) * flow._c2
+    for j, g in enumerate(flow.g):
+        out += coef[:, j, None] * g
+    return out
+
+
+def _discrete_energy_row(grid, w, wdot):
+    """The energy of one (n,) row of the reduced field."""
+    r = grid.nodes
+    h = grid.h
+    ext = np.concatenate(([0.0], w))
+    w_r = np.empty(grid.n)
+    w_r[:-1] = (ext[2:] - ext[:-2]) / (2.0 * h)
+    w_r[-1] = (w[-1] - w[-2]) / h
+    dens = 0.5 * (wdot ** 2 + (w_r - w / r) ** 2) - w ** 6 / (6.0 * r ** 4)
+    return 4.0 * np.pi * integrate(grid, dens)
+
+
+def trajectory_observables_reference(initial, t_final, stride_time=0.25):
+    """evolve_nlw's observables, outcome and snapshots, row by row from the
+    run that solitonlab.dynamics._step records: the local energy and the
+    energy one row at a time, the sup norms from a record-sized array, the
+    outcome by the rules of dynamics._outcome with the stationary check
+    converting every row afresh, and psi = (w + bg)/r, psi_t = v/r as new
+    arrays.  The chunked pass must match it bit for bit."""
+    run = _step(initial, t_final, stride_time)
+    grid, W, V, bg, w_bg = run.grid, run.W, run.V, run.bg, run.w_bg
+    r = grid.nodes
+    ip = 4.0 * np.pi
+    loc = (r <= 5.0).astype(float)
+    pert = W if bg is w_bg else [w - w_bg for w in W]
+    local_energy = np.array([ip * integrate(grid, 0.5 * loc * (vv ** 2 + ww ** 2))
+                             for ww, vv in zip(pert, V)])
+    energy = np.array([_discrete_energy_row(grid, ww + bg, vv)
+                       for ww, vv in zip(W, V)])
+
+    def sup_deviation(m=None):
+        s = np.divide(W[:, :m], r[:m]) if bg is w_bg else (
+            (W[:, :m] - w_bg[:m]) / r[:m])
+        return np.abs(s).max(axis=1)
+
+    sup_norms = sup_deviation()
+    exit_n_plus = EvolveConfig().exit_n_plus
+    times = np.arange(len(W)) * run.stride * run.dt
+    exited = np.flatnonzero(np.abs(run.n_plus) > exit_n_plus)
+
+    def outcome():
+        if run.reason in (1, 2):
+            return "blowup", run.stop_step * run.dt, math.nan
+        if exited.size:
+            j = int(exited[0])
+            return ("blowup" if run.n_plus[j] > 0 else "dispersal"), math.nan, times[j]
+        if sup_norms[0] > 0.0:
+            core = int(np.searchsorted(r, 1.0, side="right"))
+            settled = sup_deviation(core) < 0.1 * sup_norms[0]
+            need = max(1, int(round(5.0 / (run.stride * run.dt))))
+            streak = 0
+            for j, s in enumerate(settled):
+                streak = streak + 1 if s else 0
+                if streak >= need and abs(run.n_plus[j]) < exit_n_plus:
+                    return "dispersal", math.nan, times[j]
+        psi0 = (W[0] + bg) / r
+        if all(np.abs((w + bg) / r - psi0).max() <= 0.01 for w in W):
+            return "stationary", math.nan, math.nan
+        return "undecided", math.nan, math.nan
+
+    out, blowup_time, exit_time = outcome()
+    return {"times": times, "sup_norms": sup_norms, "local_energy": local_energy,
+            "energy_series": energy, "n_plus_series": run.n_plus.copy(),
+            "outcome": out, "blowup_time": blowup_time, "exit_time": exit_time,
+            "u": (W + bg) / r, "ut": V / r}
 
 
 def full_run_stable_h_search(f1, f2, grid, bracket_width, t_horizon):

@@ -14,12 +14,13 @@ from solitonlab.dynamics import (RadialState, _classify,
                                  static_background, unstable_mode)
 from solitonlab.errors import BracketError, NumericsError
 from solitonlab.radial import assemble_channel_operator, integrate, make_grid
-from solitonlab.solitons import aubin_phi, aubin_values
+from solitonlab.solitons import aubin_phi, aubin_potential, aubin_values
 from solitonlab.spectral import negative_eigenpairs
 
 from oracles import (dense_propagate, dense_sine_split,
                      full_run_stable_h_search, mode_decompose, nonlinearity_N,
-                     quad_oracle)
+                     quad_oracle, trajectory_observables_reference,
+                     wave_flow_twice_b_reference)
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -128,24 +129,94 @@ def test_frame_equivalence(dyn_grid):
         assert np.abs(sf.ut - sp.ut).max() < 1e-7
 
 
-@pytest.mark.parametrize("frame", ["perturbation", "full"])
-def test_evolve_nlw_memory_peak(dyn_grid, mode40, frame):
-    # a run keeps one record of u and one of u_t, and its observables use at
-    # most one scratch array of that size: 3 snapshot matrices plus O(n)
-    r = dyn_grid.nodes
+@pytest.mark.parametrize("frame, n, t_final", [
+    ("perturbation", 2000, 10.0), ("full", 2000, 10.0),
+    ("perturbation", 4000, 30.0), ("full", 4000, 30.0)],
+    ids=["perturbation", "full", "perturbation-n4000", "full-n4000"])
+def test_evolve_nlw_memory_peak(frame, n, t_final):
+    # a run keeps one record block of u and u_t, and its observables pass
+    # uses a few chunk scratch arrays of about _CHUNK_BYTES each: with 40
+    # snapshots at n = 2000 that is within 3 snapshot matrices plus O(n)
+    g = make_grid(40.0, n)
+    r = g.nodes
+    mode = unstable_mode(g)
+    static_background(g)
     u0, ut0 = project_to_sigma0(1e-4 * np.exp(-(r - 2.0) ** 2),
-                                5e-5 * np.exp(-r ** 2), dyn_grid, mode40)
+                                5e-5 * np.exp(-r ** 2), g, mode)
     if frame == "full":
-        u0 = static_background(dyn_grid) / r + u0
-    st = RadialState(dyn_grid, u0, ut0, frame)
+        u0 = static_background(g) / r + u0
+    st = RadialState(g, u0, ut0, frame)
     tracemalloc.start()
     try:
-        traj = evolve_nlw(st, 10.0)
+        traj = evolve_nlw(st, t_final)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert traj.outcome == "dispersal"
-    assert peak <= 3.5 * len(traj.times) * dyn_grid.n * 8
+    assert peak <= 3.5 * len(traj.times) * g.n * 8
+
+
+def test_evolve_nlw_on_a_grid_with_no_node_in_the_core():
+    # h = 4/3: no node lies in r <= 1, so the settle test has no core sup
+    # to read and never passes (it used to raise on the empty maximum)
+    g = make_grid(40.0, 30)
+    st = RadialState(g, 1e-9 * np.exp(-g.nodes ** 2 / 10.0), np.zeros(g.n),
+                     "perturbation")
+    traj = evolve_nlw(st, 8.0)
+    assert traj.sup_norms[0] > 0.0
+    assert traj.outcome == "stationary"
+
+
+def _observables_case(case):
+    """(initial, t_final, stride_time) of an observables parity case."""
+    n = 4000 if case == "workload" else 2000
+    g = make_grid(40.0, n)
+    r = g.nodes
+    mode = unstable_mode(g)
+    u0, ut0 = project_to_sigma0(1e-4 * np.exp(-(r - 2.0) ** 2),
+                                5e-5 * np.exp(-r ** 2), g, mode)
+    pert = RadialState(g, u0, ut0, "perturbation")
+    if case == "dispersal":
+        return pert, 10.0, 0.25
+    if case == "full":
+        return pert.to_full(static_background(g)), 10.0, 0.25
+    if case == "blowup":
+        return RadialState(g, 1.3 * aubin_phi(r, 1.0), np.zeros(n), "full"), 20.0, 0.25
+    if case == "every_step":
+        return pert, 1.0, 1e-3
+    if case == "ragged_chunks":
+        return pert, 4.5, 0.25
+    # the evolution benchmark's dispersal family at its shape
+    f1, f2 = project_to_sigma0(0.02 * np.exp(-r ** 2), np.zeros(n), g, mode)
+    return RadialState(g, f1 - 0.007 * mode.g, f2, "perturbation"), 30.0, 0.25
+
+
+@pytest.mark.parametrize("case", ["dispersal", "full", "blowup", "every_step",
+                                  "ragged_chunks", "workload"])
+def test_evolve_nlw_observables_match_per_row_reference(case):
+    # the chunked pass over the record gives every observable, the outcome
+    # and every snapshot bit for bit as the per-row code does
+    initial, t_final, stride_time = _observables_case(case)
+    ref = trajectory_observables_reference(initial, t_final, stride_time)
+    traj = evolve_nlw(initial, t_final, stride_time)
+    rows = max(1, dynamics._CHUNK_BYTES // (8 * initial.grid.n))
+    if case == "workload":
+        assert (len(traj.times), initial.grid.n) == (120, 4000)
+    if case == "blowup":
+        assert ref["outcome"] == "blowup" and np.isfinite(ref["blowup_time"])
+    if case == "every_step":
+        assert np.array_equal(traj.times, np.arange(len(traj.times)) * traj.dt)
+    if case == "ragged_chunks":
+        assert len(traj.times) > rows and len(traj.times) % rows != 0
+    for key in ("times", "sup_norms", "local_energy", "energy_series",
+                "n_plus_series"):
+        assert np.array_equal(getattr(traj, key), ref[key]), key
+    assert traj.outcome == ref["outcome"]
+    assert np.array_equal([traj.blowup_time, traj.exit_time],
+                          [ref["blowup_time"], ref["exit_time"]], equal_nan=True)
+    assert len(traj.snapshots) == len(ref["u"])
+    for snap, u, ut in zip(traj.snapshots, ref["u"], ref["ut"]):
+        assert np.array_equal(snap.u, u) and np.array_equal(snap.ut, ut)
 
 
 def test_outside_light_cone_exactness(dyn_grid):
@@ -286,6 +357,29 @@ def test_mode_ode_needs_two_samples():
         stability_initial_condition(np.zeros(1), np.ones(1), 1.0)
     with pytest.raises(ValueError, match="two time samples"):
         evolve_unstable_mode(np.zeros(1), np.ones(1), 1.0, 0.0)
+
+
+def test_mode_ode_rejects_times_out_of_order():
+    # backwards, repeated or non-finite times used to integrate backwards
+    # or give nan; both entry points reject them
+    for ts in ([1.0, 0.0], [0.0, 1.0, 1.0], [0.0, np.nan, 30.0],
+               [0.0, np.inf]):
+        F = np.ones(len(ts))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            stability_initial_condition(ts, F, 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            evolve_unstable_mode(ts, F, 1.0, 0.0)
+
+
+def test_mode_ode_rejects_forcing_of_another_shape():
+    # a longer F_plus used to be cut short and a shorter one raised a bare
+    # IndexError
+    ts = np.linspace(0.0, 25.0, 11)
+    for F in (np.ones(12), np.ones(10), np.ones((11, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            stability_initial_condition(ts, F, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            evolve_unstable_mode(ts, F, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("k", [np.nan, np.inf])
@@ -442,6 +536,44 @@ def test_sine_split_steps_stay_orthogonal_to_g(h1_800):
     for dt in [2.0] + [1.0] * 18:
         x = flow(x, dt, negative=False)
         assert np.all(np.abs(x @ g) <= 1e-15 * np.abs(x).max(axis=1))
+
+
+def _flow_operator(name):
+    if name == "h1":
+        g = make_grid(40.0, 800)
+        return assemble_channel_operator(g, 0, aubin_potential(g.nodes, 1.0))
+    if name == "free":
+        return assemble_channel_operator(make_grid(50.0, 500), 0, np.zeros(500))
+    g = make_grid(30.0, 600)
+    return assemble_channel_operator(g, 0, 4.0 * aubin_potential(g.nodes, 1.0))
+
+
+@pytest.mark.parametrize("name, n_negative", [("h1", 1), ("free", 0),
+                                              ("aubin4", 3)])
+def test_wave_flow_matches_broadcast_reference(monkeypatch, name, n_negative):
+    # the flat-layout matvec with buffered deflation products gives the
+    # propagators bit for bit as the row-broadcast one does
+    op = _flow_operator(name)
+    assert len(negative_eigenpairs(op)) == n_negative
+    r = op.grid.nodes
+    f, g0 = np.exp(-r ** 2 / 2.0), r * np.exp(-(r - 3.0) ** 2)
+    times = np.arange(2.0, op.grid.r_max / 2.0 + 1e-9, 1.0)
+
+    def outputs():
+        res = sine_split(op, np.exp(-r), f, times)
+        return [res["rank_one_coeff"], res["remainder_sup"],
+                linear_propagate(op, f, g0, 3.7),
+                linear_propagate(op, np.zeros_like(f), g0, 0.3)]
+
+    got = outputs()
+    # the propagators feed it blocks orthogonal to the g_j, whose deflation
+    # terms are rounding-sized: a generic block shows their order
+    flow = _WaveFlow(op)
+    y = np.random.default_rng(5).standard_normal((2, op.grid.n))
+    assert np.array_equal(flow._twice_b(y), wave_flow_twice_b_reference(flow, y))
+    monkeypatch.setattr(_WaveFlow, "_twice_b", wave_flow_twice_b_reference)
+    for a, b in zip(got, outputs()):
+        assert np.array_equal(a, b)
 
 
 def test_propagators_reject_bad_input(h1_800):
